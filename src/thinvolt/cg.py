@@ -1,10 +1,11 @@
-"""Projected, Jacobi-preconditioned conjugate gradients for pure-Neumann systems.
+"""Projected, preconditioned conjugate gradients for pure-Neumann systems.
 
 The operators assembled in this package are symmetric positive semidefinite
 with the constant vector spanning the kernel. The right-hand sides are
 compatibility-shifted before the solve; the iteration additionally projects
 the residual and the preconditioned residual onto the zero-sum subspace
-every step to keep roundoff from drifting along the kernel.
+every step to keep roundoff from drifting along the kernel. The 3D potential
+solves pass an exact x3-line preconditioner; everything else uses Jacobi.
 """
 
 import numpy as np
@@ -28,12 +29,13 @@ def _project(v):
     return v
 
 
-def pcg(matvec, b, diag, tol=1e-10, max_iter=None, x0=None):
+def pcg(matvec, b, diag, tol=1e-10, max_iter=None, x0=None, precond=None):
     """Solve K x = b on the zero-sum subspace; returns (x, residual_history).
 
-    matvec maps flat vectors to flat vectors, diag is the operator diagonal
-    used as a Jacobi preconditioner, and convergence means
-    ||b - K x||_2 <= tol * ||b||_2.
+    matvec maps flat vectors to flat vectors and diag is the positive operator
+    diagonal. precond applies an SPD approximation of K^{-1} to a flat
+    residual; when omitted, the iteration is Jacobi-preconditioned with diag.
+    Convergence means ||b - K x||_2 <= tol * ||b||_2.
     """
     b = np.asarray(b, dtype=float).ravel().copy()
     _project(b)
@@ -43,6 +45,11 @@ def pcg(matvec, b, diag, tol=1e-10, max_iter=None, x0=None):
     diag = np.asarray(diag, dtype=float).ravel()
     if np.any(diag <= 0.0):
         raise ValueError("pcg: operator diagonal must be positive")
+    if precond is None:
+
+        def precond(v):
+            return v / diag
+
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return np.zeros(n), [0.0]
@@ -54,7 +61,7 @@ def pcg(matvec, b, diag, tol=1e-10, max_iter=None, x0=None):
         _project(x)
         r = b - matvec(x)
     _project(r)
-    z = r / diag
+    z = precond(r)
     _project(z)
     p = z.copy()
     rz = float(r @ z)
@@ -70,7 +77,7 @@ def pcg(matvec, b, diag, tol=1e-10, max_iter=None, x0=None):
         x += alpha * p
         r -= alpha * Ap
         _project(r)
-        z = r / diag
+        z = precond(r)
         _project(z)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p

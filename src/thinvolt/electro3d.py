@@ -47,6 +47,8 @@ class PoissonSystem3:
         self.coef = coef
         self.Kloc = _local_stiffness(coef, grid, eps)
         self.diag = self._diagonal()
+        self.line_offdiag = self._line_offdiagonal()
+        self._line_factors = self._factor_lines()
         # compatibility shift: the kernel is the constants, so the load must
         # have zero sum; the shift is spread with the gauge weights
         self.b_raw = load
@@ -56,6 +58,50 @@ class PoissonSystem3:
     def _diagonal(self):
         U = np.einsum("...aa->...a", self.Kloc)
         return fields.corner_scatter3(U, self.grid)
+
+    def _line_offdiagonal(self):
+        """K[(i, j, l), (i, j, l + 1)] as an (n1, n2, n3 - 1) array.
+
+        Q1 nodes (i, j, l) couple along x3 only to (i, j, l +- 1), so with
+        diag this fixes each x3 column block of K, which is tridiagonal.
+        """
+        n1, n2, n3 = self.grid.shape
+        off = np.zeros((n1, n2, n3 - 1))
+        for a in (0, 1):
+            for b in (0, 1):
+                k = 4 * a + 2 * b  # corner (a, b, 0); k + 1 is (a, b, 1)
+                off[a : n1 - 1 + a, b : n2 - 1 + b] += self.Kloc[..., k, k + 1]
+        return off
+
+    def _factor_lines(self):
+        """Thomas factors of the x3 column blocks, line index first.
+
+        Each block is a principal submatrix of K, hence positive definite,
+        so the elimination needs no pivoting.
+        """
+        n3 = self.grid.n3
+        lower = np.ascontiguousarray(self.line_offdiag.reshape(-1, n3 - 1).T)
+        d = self.diag.reshape(-1, n3).T
+        inv_pivot = np.empty(d.shape)
+        upper = np.empty_like(lower)
+        inv_pivot[0] = 1.0 / d[0]
+        for l in range(n3 - 1):
+            upper[l] = lower[l] * inv_pivot[l]
+            inv_pivot[l + 1] = 1.0 / (d[l + 1] - lower[l] * upper[l])
+        return lower, upper, inv_pivot
+
+    def precondition(self, r):
+        """Exact solve with the x3 column blocks of K (block-Jacobi); flat in, flat out."""
+        lower, upper, inv_pivot = self._line_factors
+        n3 = self.grid.n3
+        z = np.reshape(r, (-1, n3)).T.copy()
+        z[0] *= inv_pivot[0]
+        for l in range(1, n3):
+            z[l] -= lower[l - 1] * z[l - 1]
+            z[l] *= inv_pivot[l]
+        for l in range(n3 - 2, -1, -1):
+            z[l] -= upper[l] * z[l + 1]
+        return z.T.ravel()
 
     def apply(self, phi):
         """Operator application on a nodal array (not flattened)."""
@@ -97,8 +143,12 @@ def assemble_poisson3(y, grid, eps, mat):
 
 
 def solve_potential3(system, tol=1e-10, x0=None, max_iter=None):
-    """Projected PCG solve; returns the potential with weighted zero mean."""
-    x, _ = pcg(system.matvec, system.b.ravel(), system.diag.ravel(), tol=tol, max_iter=max_iter, x0=None if x0 is None else np.asarray(x0).ravel())
+    """Projected PCG solve, preconditioned by exact x3-line solves.
+
+    Returns the potential with weighted zero mean.
+    """
+    x0 = None if x0 is None else np.asarray(x0).ravel()
+    x, _ = pcg(system.matvec, system.b.ravel(), system.diag.ravel(), tol=tol, max_iter=max_iter, x0=x0, precond=system.precondition)
     phi = x.reshape(system.grid.shape)
     return phi - float(np.sum(system.weights * phi))
 

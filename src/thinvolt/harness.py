@@ -9,6 +9,7 @@ checks pass (1 on check failure, 2 on configuration problems).
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -63,6 +64,12 @@ def _num(section, key, default, name, positive=False, integer=False):
     value = section.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"'{name}.{key}' must be a number")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise ConfigError(f"'{name}.{key}' must be finite")
     if integer and int(value) != value:
         raise ConfigError(f"'{name}.{key}' must be an integer")
     if positive and value <= 0:
@@ -76,10 +83,12 @@ def _matrix3(section, key, name):
         return np.zeros((3, 3))
     try:
         M = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"'{name}.{key}' must be a 3x3 numeric array")
     if M.shape != (3, 3):
         raise ConfigError(f"'{name}.{key}' must be a 3x3 numeric array")
+    if not np.all(np.isfinite(M)):
+        raise ConfigError(f"'{name}.{key}' entries must be finite")
     return M
 
 
@@ -108,8 +117,10 @@ class RunConfig:
             raise ConfigError("'eps' must be a nonempty list")
         try:
             self.eps_list = [float(e) for e in eps]
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError("'eps' entries must be numbers")
+        if not all(map(math.isfinite, self.eps_list)):
+            raise ConfigError("'eps' entries must be finite")
         if any(e <= 0 for e in self.eps_list):
             raise ConfigError("'eps' entries must be positive")
         if any(b >= a for a, b in zip(self.eps_list, self.eps_list[1:])):
@@ -427,7 +438,13 @@ def _cmd_sweep(cfg, out_dir):
         ],
         title="sweep convergence",
     )
-    summary = {"mode": "sweep", "seed": cfg.seed, "eps": xs, "rows_ok": int(sum(r.ok for r in rows))}
+    summary = {
+        "mode": "sweep",
+        "seed": cfg.seed,
+        "eps": xs,
+        "rows_ok": int(sum(r.ok for r in rows)),
+        "failed_rows": [{"eps": r.eps, "reason": r.reason} for r in rows if not r.ok],
+    }
     try:
         checks = check_conditions(rows)
     except ValueError as exc:
@@ -595,8 +612,8 @@ def cli_main(argv=None):
                 eps = [float(tok) for tok in args.eps.split(",") if tok.strip()]
             except ValueError:
                 raise ConfigError("--eps must be a comma-separated number list")
-            if not eps or any(e <= 0 for e in eps) or any(b >= a for a, b in zip(eps, eps[1:])):
-                raise ConfigError("--eps must be positive and strictly decreasing")
+            if not eps or not all(map(math.isfinite, eps)) or any(e <= 0 for e in eps) or any(b >= a for a, b in zip(eps, eps[1:])):
+                raise ConfigError("--eps must be finite, positive and strictly decreasing")
             cfg.eps_list = eps
         if args.seed is not None:
             if args.seed < 0:

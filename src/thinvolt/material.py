@@ -57,12 +57,13 @@ class ElasticParams:
     q_w: float = 26.0
 
     def __post_init__(self):
-        if self.mu <= 0.0:
-            raise ValueError("mu must be positive")
-        if self.lam < 0.0:
-            raise ValueError("lam must be nonnegative")
-        if self.q_w <= 6.0:
-            raise ValueError("q_w must exceed 6")
+        # written as "not (valid)" so that NaN fails every guard
+        if not 0.0 < self.mu < np.inf:
+            raise ValueError("mu must be positive and finite")
+        if not 0.0 <= self.lam < np.inf:
+            raise ValueError("lam must be nonnegative and finite")
+        if not 6.0 < self.q_w < np.inf:
+            raise ValueError("q_w must exceed 6 and be finite")
 
     @property
     def hpp1(self):
@@ -94,12 +95,12 @@ class HyperParams:
     c_h: float = 1.0
 
     def __post_init__(self):
-        if self.q_h <= 3.0:
-            raise ValueError("q_h must exceed 3")
-        if self.alpha_h <= 2.0 + 2.0 * self.q_h:
-            raise ValueError("alpha_h must exceed 2 + 2 q_h")
-        if self.c_h <= 0.0:
-            raise ValueError("c_h must be positive")
+        if not 3.0 < self.q_h < np.inf:
+            raise ValueError("q_h must exceed 3 and be finite")
+        if not 2.0 + 2.0 * self.q_h < self.alpha_h < np.inf:
+            raise ValueError("alpha_h must exceed 2 + 2 q_h and be finite")
+        if not 0.0 < self.c_h < np.inf:
+            raise ValueError("c_h must be positive and finite")
 
 
 def check_exponent_compatibility(elastic, hyper):
@@ -184,8 +185,10 @@ class CouplingConstants:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if self.beta <= 0.0:
-            raise ValueError("beta must be positive")
+        if not 0.0 < self.beta < np.inf:
+            raise ValueError("beta must be positive and finite")
+        if not np.isfinite(self.gamma):
+            raise ValueError("gamma must be finite")
 
 
 @dataclass(frozen=True)

@@ -286,6 +286,7 @@ class SweepRow:
     min_det: float = np.nan
     pg0_res: float = np.nan
     ok: bool = False
+    reason: str = ""  # why a failed row failed; not a sweep.csv column
 
     def values(self):
         return [getattr(self, name) for name in SWEEP_COLUMNS]
@@ -296,8 +297,9 @@ def recovery_sweep(inputs, mat, grid, eps_list, use_mollifier=False, solver_tol=
 
     For each eps: build the corrector (optionally smoothed), lift the
     deformation, solve the 3D potential on it, and record scaled energies
-    next to the 2D targets. A row whose deformation loses orientation is
-    kept with NaN entries and ok = False; the sweep continues.
+    next to the 2D targets. A row whose deformation loses orientation or
+    whose potential solve fails is kept with NaN entries, ok = False and the
+    error in reason; the sweep continues.
     """
     eps_list = [float(e) for e in eps_list]
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
@@ -324,7 +326,8 @@ def recovery_sweep(inputs, mat, grid, eps_list, use_mollifier=False, solver_tol=
                 raise ValueError("lifted deformation loses orientation")
             system = electro3d.assemble_poisson3(y, grid, eps, mat)
             phi = electro3d.solve_potential3(system, tol=solver_tol)
-        except (ValueError, electro3d.SolverError):
+        except (ValueError, electro3d.SolverError) as exc:
+            row.reason = f"{type(exc).__name__}: {exc}"
             continue
         report = elastic3d.apriori_report(y, phi, grid, eps, mat)
         row.Mel_scaled = mel

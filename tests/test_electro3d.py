@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from thinvolt.electro3d import (
     solve_potential3,
 )
 from thinvolt.fields import Grid3
+from thinvolt.harness import RunConfig
 from thinvolt.material import (
     ChargeModel,
     CouplingConstants,
@@ -294,3 +297,51 @@ def test_pcg_zero_load_and_failure_modes():
     assert len(err.value.residuals) >= 1
     with pytest.raises(ValueError):
         pcg(lambda v: L @ v, b, np.zeros(n), tol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# x3-line preconditioner
+
+
+def test_line_blocks_match_dense_column_blocks():
+    grid = Grid3(5, 4, 6)
+    eps = 0.1
+    k = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, 0.2], [0.1, 0.2, 3.0]])
+    rng = np.random.default_rng(31)
+    F0 = np.eye(3) + 0.2 * rng.standard_normal((3, 3))
+    y = _affine_y(grid, eps, F0) + 0.01 * eps * rng.standard_normal(grid.shape + (3,))
+    system = assemble_poisson3(y, grid, eps, _material(k=k))
+    n = int(np.prod(grid.shape))
+    K = np.stack([system.matvec(e) for e in np.eye(n)], axis=1)
+    n1, n2, n3 = grid.shape
+    K_col = np.zeros_like(K)
+    for i in range(n1):
+        for j in range(n2):
+            ids = np.ravel_multi_index((i, j, np.arange(n3)), grid.shape)
+            block = K[np.ix_(ids, ids)]
+            assert np.all(np.triu(block, 2) == 0.0) and np.all(np.tril(block, -2) == 0.0)
+            assert np.max(np.abs(np.diagonal(block) - system.diag[i, j])) < 1e-12 * np.max(system.diag)
+            assert np.max(np.abs(np.diagonal(block, 1) - system.line_offdiag[i, j])) < 1e-12 * np.max(system.diag)
+            K_col[np.ix_(ids, ids)] = block
+    for _ in range(5):
+        x = rng.standard_normal(n)
+        assert np.max(np.abs(system.precondition(K_col @ x) - x)) < 1e-12 * np.max(np.abs(x))
+
+
+def test_line_preconditioned_pcg_iterations_flat_in_eps():
+    from thinvolt.material import Q3_form
+    from thinvolt.recovery import lift_deformation, optimal_corrector
+    from thinvolt.relaxation import RelaxedQ2
+
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "bending.json")
+    cfg = RunConfig.from_file(path)
+    grid = cfg.grid3()
+    mat = cfg.material
+    inputs = cfg.recovery_inputs(cfg.grid2())
+    d = optimal_corrector(inputs, grid, RelaxedQ2(Q3_form(mat.elastic), mat.prestrain))
+    for eps in cfg.eps_list:
+        y = lift_deformation(inputs.isometry, eps, grid, inputs.g_matrix, d)
+        system = assemble_poisson3(y, grid, eps, mat)
+        x, hist = pcg(system.matvec, system.b, system.diag, tol=cfg.poisson_tol, precond=system.precondition)
+        assert hist[-1] <= cfg.poisson_tol
+        assert len(hist) - 1 <= 100, (eps, len(hist) - 1)

@@ -225,6 +225,55 @@ def test_cli_config_errors(tmp_path):
     assert cli_main(["bogus-command", "--config", cfgpath]) == 2
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {"eps": [float("nan"), 0.1, 0.05]},
+        {"eps": [float("inf"), 0.1, 0.05]},
+        {"solver": {"poisson_tol": float("inf")}},
+        {"solver": {"max_iters": float("nan")}},
+        {"grid": {"n1": float("inf")}},
+        {"elastic": {"mu": float("nan")}},
+        {"charge": {"amplitude": float("-inf")}},
+        {"coupling": {"gamma": float("nan")}},
+        {"permittivity": {"k": [[1, 0, 0], [0, float("nan"), 0], [0, 0, 1]]}},
+        {"seed": float("inf")},
+    ],
+)
+def test_cli_non_finite_config_exits_2(tmp_path, extra):
+    cfgpath = _write_config(tmp_path / "cfg.json", extra=extra)
+    out = tmp_path / "out"
+    assert cli_main(["relax", "--config", cfgpath, "--out", str(out)]) == 2
+    assert not (out / "relax.json").exists()
+
+
+def test_cli_non_finite_eps_override_exits_2(tmp_path):
+    cfgpath = _write_config(tmp_path / "cfg.json")
+    assert cli_main(["relax", "--config", cfgpath, "--eps", "nan,0.1"]) == 2
+
+
+def test_cli_sweep_reports_failed_row_reason(tmp_path, monkeypatch):
+    from thinvolt import electro3d
+
+    real = electro3d.assemble_poisson3
+
+    def failing(y, grid, eps, mat):
+        if eps == 0.125:
+            raise electro3d.SolverError("forced failure", [1.0])
+        return real(y, grid, eps, mat)
+
+    monkeypatch.setattr(electro3d, "assemble_poisson3", failing)
+    cfgpath = _write_config(tmp_path / "cfg.json")
+    out = tmp_path / "out"
+    assert cli_main(["sweep", "--config", cfgpath, "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["rows_ok"] == 2
+    assert summary["failed_rows"] == [{"eps": 0.125, "reason": "SolverError: forced failure"}]
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert lines[0].split(",") == SWEEP_COLUMNS
+    assert lines[2].split(",")[0] == "0.125" and all(v == "nan" for v in lines[2].split(",")[1:])
+
+
 def test_cli_relax(tmp_path):
     cfgpath = _write_config(tmp_path / "cfg.json")
     out = str(tmp_path / "out")
@@ -251,6 +300,7 @@ def test_cli_sweep_writes_artifacts_and_is_deterministic(tmp_path):
     assert (tmp_path / "a" / "sweep.svg").exists()
     summary = json.loads((tmp_path / "a" / "summary.json").read_text())
     assert summary["mode"] == "sweep" and "pass" in summary
+    assert summary["failed_rows"] == []
 
 
 def test_cli_sweep_threaded_matches_serial(tmp_path, monkeypatch):

@@ -304,6 +304,25 @@ def test_parameter_validation():
         ChargeModel(mode="square")
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda v: ElasticParams(mu=v),
+        lambda v: ElasticParams(lam=v),
+        lambda v: ElasticParams(q_w=v),
+        lambda v: HyperParams(q_h=v),
+        lambda v: HyperParams(alpha_h=v),
+        lambda v: HyperParams(c_h=v),
+        lambda v: CouplingConstants(beta=v),
+        lambda v: CouplingConstants(gamma=v),
+    ],
+)
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_parameter_validation_rejects_non_finite(make, value):
+    with pytest.raises(ValueError):
+        make(value)
+
+
 def test_exponent_compatibility_gate():
     check_exponent_compatibility(ElasticParams(q_w=26.0), HyperParams(q_h=4.0))
     # bound 3 q_h / (q_h - 3) = 12 must be strictly exceeded by q_w / 2

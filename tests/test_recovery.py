@@ -251,7 +251,8 @@ def test_recovery_sweep_flags_orientation_loss():
     inputs = RecoveryInputs(isometry=y0, prestrain=mat.prestrain)
     rows = recovery_sweep(inputs, mat, grid3, [3.0, 0.25], solver_tol=1e-10)
     assert not rows[0].ok and np.isnan(rows[0].M_eps)
-    assert rows[1].ok
+    assert "orientation" in rows[0].reason
+    assert rows[1].ok and rows[1].reason == ""
     with pytest.raises(ValueError):
         recovery_sweep(inputs, mat, grid3, [0.125, 0.25])
 
