@@ -4,15 +4,15 @@ Deformations come from a cylindrical bending ansatz driven by a nodal angle
 profile theta(x1): the midsurface is an exact isometry for every profile, its
 curvature tensor is diag(theta', 0), and the attached orthonormal frame
 carries the permittivity reduction. The potential solves a 2D pure-Neumann
-problem with the reduced in-plane permittivity, discretized like the 3D one
-(cell-center coefficient, 2x2 Gauss quadratic terms, center-rule charge).
+problem with the reduced in-plane permittivity through the same Q1 system as
+the 3D one (electro3d.PoissonSystem: cell-center coefficient, 2x2 Gauss
+quadratic terms, center-rule charge).
 """
 
 import numpy as np
 
 from . import fields
-from .cg import pcg
-from .material import Q3_form
+from .electro3d import PoissonSystem, charge_load
 from .relaxation import RelaxedQ2, effective_permittivity
 
 __all__ = [
@@ -26,10 +26,6 @@ __all__ = [
     "check_virial",
     "keff_and_derivative",
 ]
-
-
-def _relaxed_form(mat):
-    return RelaxedQ2(Q3_form(mat.elastic), mat.prestrain)
 
 
 class CylindricalIsometry:
@@ -61,8 +57,7 @@ class CylindricalIsometry:
         return np.diff(self.theta) / self.grid.h1
 
     def curvature_nodes(self):
-        ops = fields._make_axis_ops(self.grid.n1, self.grid.h1)
-        return ops["D1"] @ self.theta
+        return self.grid.axis_ops(0)["D1"] @ self.theta
 
     # -- geometry ------------------------------------------------------------
 
@@ -192,85 +187,29 @@ def _keff_cells(y0, mat):
 # 2D pure-Neumann potential problem
 
 
-def _local_stiffness2(coef, grid):
-    w = grid.cell_area / 4.0
-    K = None
-    for pt in fields.gauss_points2():
-        V = fields.shape_gradients2(grid, pt)
-        contrib = w * np.einsum("ai,...ij,bj->...ab", V, coef, V, optimize=True)
-        K = contrib if K is None else K + contrib
-    return K
-
-
-def _node_weights2(grid):
-    w = grid.w1[:, None] * grid.w2[None, :]
-    return w / w.sum()
-
-
-class PoissonSystem2:
-    """Assembled reduced-permittivity operator and charge load on the midsurface."""
-
-    def __init__(self, grid, coef, load, weights):
-        self.grid = grid
-        self.coef = coef
-        self.Kloc = _local_stiffness2(coef, grid)
-        U = np.einsum("...aa->...a", self.Kloc)
-        self.diag = fields.corner_scatter2(U, grid)
-        self.weights = weights
-        self.b = load - load.sum() * weights
-
-    def apply(self, phi):
-        U = fields.corner_gather2(phi, self.grid)
-        return fields.corner_scatter2(np.einsum("...ab,...b->...a", self.Kloc, U), self.grid)
-
-    def matvec(self, x):
-        return self.apply(x.reshape(self.grid.shape)).ravel()
-
-
-def _charge_load2(grid, mat):
-    nb = mat.charge.nbar(grid.c1)[:, None]
-    w = mat.coupling.gamma * grid.cell_area / 4.0
-    U = np.broadcast_to((w * np.broadcast_to(nb, grid.cshape))[..., None], grid.cshape + (4,))
-    return fields.corner_scatter2(U, grid)
-
-
 def assemble_poisson2(y0, mat):
     grid = y0.grid
     keff = _keff_cells(y0, mat)
     coef = mat.coupling.beta * np.broadcast_to(keff[:, None], grid.cshape + (2, 2))
-    return PoissonSystem2(grid, coef, _charge_load2(grid, mat), _node_weights2(grid))
+    load = charge_load(mat.charge.nbar(grid.c1)[:, None], grid, mat.coupling.gamma)
+    return PoissonSystem(grid, coef, load)
 
 
 def solve_potential2(y0, mat, tol=1e-10, max_iter=None):
-    """Solve the reduced potential problem; weighted zero-mean nodal field."""
-    system = assemble_poisson2(y0, mat)
-    x, _ = pcg(system.matvec, system.b.ravel(), system.diag.ravel(), tol=tol, max_iter=max_iter)
-    phi = x.reshape(system.grid.shape)
-    return phi - float(np.sum(system.weights * phi))
+    """Solve the reduced potential problem (Jacobi PCG); weighted zero-mean nodal field."""
+    return assemble_poisson2(y0, mat).solve(tol=tol, max_iter=max_iter)
 
 
 # ---------------------------------------------------------------------------
 # energies
 
 
-def dielectric_second_moments(phi, grid):
-    """Per-cell Gauss second moments of the in-plane gradient, (nc1,nc2,2,2)."""
-    w = grid.cell_area / 4.0
-    U = fields.corner_gather2(np.asarray(phi, dtype=float), grid)
-    G2 = np.zeros(grid.cshape + (2, 2))
-    for pt in fields.gauss_points2():
-        V = fields.shape_gradients2(grid, pt)
-        g = np.einsum("...a,aj->...j", U, V)
-        G2 += w * g[..., :, None] * g[..., None, :]
-    return G2
-
-
 def _energy_parts2(y0, phi, mat):
     grid = y0.grid
     keff = _keff_cells(y0, mat)
-    G2 = dielectric_second_moments(phi, grid).sum(axis=1)  # x2-summed per x1-cell
+    G2 = fields.gradient_second_moments(phi, grid).sum(axis=1)  # x2-summed per x1-cell
     quad = float(np.einsum("cij,cji->", keff, G2))
-    U = fields.corner_gather2(np.asarray(phi, dtype=float), grid)
+    U = fields.corner_gather(np.asarray(phi, dtype=float), grid)
     nb = mat.charge.nbar(grid.c1)[:, None]
     moment = grid.cell_area * float(np.sum(nb * U.mean(axis=2)))
     return quad, moment
@@ -285,7 +224,7 @@ def E0(y0, phi, mat):
 def F0(y0, phi, mat, rq=None):
     """Effective total energy M0 - E0."""
     if rq is None:
-        rq = _relaxed_form(mat)
+        rq = RelaxedQ2.of(mat)
     return M0(y0, rq) - E0(y0, phi, mat)
 
 
@@ -339,7 +278,7 @@ def saddle_iterate_2d(theta0, grid, mat, iters=200, tol=1e-8, rq=None, solver_to
     (F0 after the phi-step, F0 after the theta-step, gradient norm, step size).
     """
     if rq is None:
-        rq = _relaxed_form(mat)
+        rq = RelaxedQ2.of(mat)
     theta = np.asarray(theta0, dtype=float).copy()
     H = _bending_hessian(grid, rq)
     scale = max(np.abs(np.diag(H)).max(), 1.0)
@@ -352,7 +291,7 @@ def saddle_iterate_2d(theta0, grid, mat, iters=200, tol=1e-8, rq=None, solver_to
         y0 = CylindricalIsometry(grid, theta)
         phi = solve_potential2(y0, mat, tol=solver_tol)
         f_after_phi = F0(y0, phi, mat, rq)
-        G2x1 = dielectric_second_moments(phi, grid).sum(axis=1)
+        G2x1 = fields.gradient_second_moments(phi, grid).sum(axis=1)
         J, g = _theta_objective_and_grad(theta, grid, mat, rq, G2x1)
         gnorm = float(np.linalg.norm(g))
         if gnorm <= tol:

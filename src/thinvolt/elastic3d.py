@@ -137,7 +137,7 @@ def grad_y_F_eps(y, phi, grid, eps, mat):
     """
     g = grad_M_eps(y, grid, eps, mat)
     F = fields.scaled_gradient(y, grid, eps)
-    G2 = electro3d.gradient_second_moments(y, phi, grid, eps)
+    G2 = fields.gradient_second_moments(phi, grid, eps)
     P = mat.coupling.beta * maxwell_stress_moment(F, mat.permittivity.k, G2)
     g += fields.gradient_scatter(P, grid, eps)
     return g - g.mean(axis=(0, 1, 2))

@@ -6,17 +6,21 @@ cell at the cell center. The quadratic form is integrated with the 2x2x2
 Gauss rule per cell (full rank on each cell, so the operator kernel is
 exactly the constants), while charge moments use the cell-center rule. The
 electrostatic energy evaluator uses the same two rules, which makes the
-discrete weak-form identity hold to solver precision.
+discrete weak-form identity hold to solver precision. PoissonSystem and
+charge_load are dimension-generic; the 2D midsurface potential of bending2d
+is built from them too.
 """
+
+import math
 
 import numpy as np
 
 from . import fields
 from .cg import SolverError, pcg
 from .material import kappa_pullback
-from .smallmat import det3, inv3
+from .smallmat import det3
 
-__all__ = ["PoissonSystem3", "assemble_poisson3", "solve_potential3", "E_eps", "check_pg0", "SolverError"]
+__all__ = ["PoissonSystem", "PoissonSystem3", "charge_load", "assemble_poisson3", "solve_potential3", "E_eps", "check_pg0", "SolverError"]
 
 
 def _orientation_check(F, grid):
@@ -24,40 +28,57 @@ def _orientation_check(F, grid):
     if np.min(d) <= 0.0:
         cell = np.unravel_index(int(np.argmin(d)), grid.cshape)
         raise ValueError(f"deformation not orientation-preserving at cell {cell}")
-    return d
 
 
-def _local_stiffness(coef, grid, eps):
-    """Per-cell 8x8 stiffness for a cellwise-constant coefficient (2x2x2 Gauss)."""
-    w = grid.cell_volume / 8.0
-    K = None
-    for pt in fields.gauss_points3():
-        V = fields.shape_gradients3(grid, eps, pt)
-        contrib = w * np.einsum("ai,...ij,bj->...ab", V, coef, V, optimize=True)
-        K = contrib if K is None else K + contrib
-    return K
+class PoissonSystem:
+    """Assembled Q1 operator and load of a pure-Neumann potential problem.
 
+    Serves the 3D plate (Grid3, x3 derivatives scaled by 1/eps) and the 2D
+    midsurface (Grid2) alike. coef is the cellwise-constant coefficient and
+    load the nodal charge load; the gauge weights are the normalized
+    trapezoid weights.
+    """
 
-class PoissonSystem3:
-    """Assembled operator and load for the deformed-configuration potential."""
-
-    def __init__(self, grid, eps, coef, load, weights):
+    def __init__(self, grid, coef, load, eps=1.0):
         self.grid = grid
         self.eps = eps
         self.coef = coef
-        self.Kloc = _local_stiffness(coef, grid, eps)
-        self.diag = self._diagonal()
-        self.line_offdiag = self._line_offdiagonal()
-        self._line_factors = self._factor_lines()
+        self.Kloc = fields.local_stiffness(coef, grid, eps)
+        self.diag = fields.corner_scatter(np.einsum("...aa->...a", self.Kloc), grid)
         # compatibility shift: the kernel is the constants, so the load must
         # have zero sum; the shift is spread with the gauge weights
         self.b_raw = load
-        self.weights = weights
-        self.b = load - load.sum() * weights
+        self.weights = fields.node_weights(grid)
+        self.b = load - load.sum() * self.weights
 
-    def _diagonal(self):
-        U = np.einsum("...aa->...a", self.Kloc)
-        return fields.corner_scatter3(U, self.grid)
+    def apply(self, phi):
+        """Operator application on a nodal array (not flattened)."""
+        U = fields.corner_gather(phi, self.grid)
+        return fields.corner_scatter(np.einsum("...ab,...b->...a", self.Kloc, U), self.grid)
+
+    def matvec(self, x):
+        return self.apply(x.reshape(self.grid.shape)).ravel()
+
+    def energy_quadratic(self, phi):
+        """(1/2) phi^T K phi, identical quadrature to the assembled operator."""
+        U = fields.corner_gather(phi, self.grid)
+        return 0.5 * float(np.sum(np.einsum("...a,...ab,...b->...", U, self.Kloc, U)))
+
+    def solve(self, tol=1e-10, x0=None, max_iter=None, precond=None):
+        """Projected PCG solve, Jacobi unless precond is given; the potential with weighted zero mean."""
+        x0 = None if x0 is None else np.asarray(x0).ravel()
+        x, _ = pcg(self.matvec, self.b.ravel(), self.diag.ravel(), tol=tol, max_iter=max_iter, x0=x0, precond=precond)
+        phi = x.reshape(self.grid.shape)
+        return phi - float(np.sum(self.weights * phi))
+
+
+class PoissonSystem3(PoissonSystem):
+    """The 3D potential system plus its exact x3-line preconditioner."""
+
+    def __init__(self, grid, coef, load, eps):
+        super().__init__(grid, coef, load, eps)
+        self.line_offdiag = self._line_offdiagonal()
+        self._line_factors = self._factor_lines()
 
     def _line_offdiagonal(self):
         """K[(i, j, l), (i, j, l + 1)] as an (n1, n2, n3 - 1) array.
@@ -103,31 +124,16 @@ class PoissonSystem3:
             z[l] -= upper[l] * z[l + 1]
         return z.T.ravel()
 
-    def apply(self, phi):
-        """Operator application on a nodal array (not flattened)."""
-        U = fields.corner_gather3(phi, self.grid)
-        return fields.corner_scatter3(np.einsum("...ab,...b->...a", self.Kloc, U), self.grid)
 
-    def matvec(self, x):
-        return self.apply(x.reshape(self.grid.shape)).ravel()
+def charge_load(density, grid, gamma):
+    """Center-rule charge load: gamma times each cell's density, split equally over its corners.
 
-    def energy_quadratic(self, phi):
-        """(1/2) phi^T K phi, identical quadrature to the assembled operator."""
-        U = fields.corner_gather3(phi, self.grid)
-        return 0.5 * float(np.sum(np.einsum("...a,...ab,...b->...", U, self.Kloc, U)))
-
-
-def _charge_load(grid, mat):
-    nc = mat.charge.n_ch(grid.c1)[:, None, None]
-    cellv = np.broadcast_to(nc, grid.cshape)
-    w = mat.coupling.gamma * grid.cell_volume / 8.0
-    U = np.broadcast_to((w * cellv)[..., None], grid.cshape + (8,))
-    return fields.corner_scatter3(U, grid)
-
-
-def _node_weights(grid):
-    w = np.einsum("i,j,k->ijk", grid.w1, grid.w2, grid.w3)
-    return w / w.sum()
+    density is the cellwise charge density, broadcastable to grid.cshape.
+    """
+    ncorner = 2 ** len(grid.shape)
+    w = gamma * math.prod(grid.spacing) / ncorner
+    U = np.broadcast_to((w * np.broadcast_to(density, grid.cshape))[..., None], grid.cshape + (ncorner,))
+    return fields.corner_scatter(U, grid)
 
 
 def assemble_poisson3(y, grid, eps, mat):
@@ -139,7 +145,8 @@ def assemble_poisson3(y, grid, eps, mat):
     F = fields.scaled_gradient(y, grid, eps)
     _orientation_check(F, grid)
     coef = mat.coupling.beta * kappa_pullback(F, mat.permittivity.k)
-    return PoissonSystem3(grid, eps, coef, _charge_load(grid, mat), _node_weights(grid))
+    load = charge_load(mat.charge.n_ch(grid.c1)[:, None, None], grid, mat.coupling.gamma)
+    return PoissonSystem3(grid, coef, load, eps)
 
 
 def solve_potential3(system, tol=1e-10, x0=None, max_iter=None):
@@ -147,26 +154,17 @@ def solve_potential3(system, tol=1e-10, x0=None, max_iter=None):
 
     Returns the potential with weighted zero mean.
     """
-    x0 = None if x0 is None else np.asarray(x0).ravel()
-    x, _ = pcg(system.matvec, system.b.ravel(), system.diag.ravel(), tol=tol, max_iter=max_iter, x0=x0, precond=system.precondition)
-    phi = x.reshape(system.grid.shape)
-    return phi - float(np.sum(system.weights * phi))
+    return system.solve(tol=tol, x0=x0, max_iter=max_iter, precond=system.precondition)
 
 
 def _energy_parts(y, phi, grid, eps, mat):
     """Dielectric quadratic term and charge moment, with the assembly quadratures."""
     F = fields.scaled_gradient(y, grid, eps)
     _orientation_check(F, grid)
-    coef = kappa_pullback(F, mat.permittivity.k)
-    w = grid.cell_volume / 8.0
-    U = fields.corner_gather3(phi, grid)
-    quad = 0.0
-    for pt in fields.gauss_points3():
-        V = fields.shape_gradients3(grid, eps, pt)
-        g = np.einsum("...a,aj->...j", U, V)
-        quad += w * float(np.sum(np.einsum("...i,...ij,...j->...", g, coef, g)))
+    G2 = fields.gradient_second_moments(phi, grid, eps)
+    quad = float(np.sum(kappa_pullback(F, mat.permittivity.k) * G2))
     nc = mat.charge.n_ch(grid.c1)[:, None, None]
-    phibar = U.mean(axis=3)
+    phibar = fields.corner_gather(phi, grid).mean(axis=3)
     moment = grid.cell_volume * float(np.sum(nc * phibar))
     return quad, moment
 
@@ -189,19 +187,3 @@ def check_pg0(y, phi, grid, eps, mat):
     rhs = mat.coupling.gamma * moment
     return abs(lhs - rhs) / (1.0 + abs(rhs))
 
-
-def gradient_second_moments(y, phi, grid, eps):
-    """Per-cell Gauss-rule second moment of the scaled potential gradient.
-
-    Returns G2 with shape (nc1,nc2,nc3,3,3), G2 = sum_g w_g grad phi (x) grad phi,
-    weights summing to the cell volume. Used for the deformation gradient of
-    the dielectric energy term.
-    """
-    w = grid.cell_volume / 8.0
-    U = fields.corner_gather3(phi, grid)
-    G2 = np.zeros(grid.cshape + (3, 3))
-    for pt in fields.gauss_points3():
-        V = fields.shape_gradients3(grid, eps, pt)
-        g = np.einsum("...a,aj->...j", U, V)
-        G2 += w * g[..., :, None] * g[..., None, :]
-    return G2

@@ -1,21 +1,31 @@
-"""Tensor-product grids on the unit-square plate and discrete field operators.
+"""Tensor-product grids, the dimension-generic Q1 kernel and discrete field operators.
 
 Conventions used throughout the package:
 
 * 3D fields live on the closed plate (0,1)^2 x (-1/2, 1/2). Axis 0 is x1,
   axis 1 is x2, axis 2 is x3 (the thickness variable). Nodal scalar fields
   have shape (n1, n2, n3); nodal vector fields append a component axis.
+  2D fields live on the unit square with shape (n1, n2).
 * Cell quantities live at the (n1-1, n2-1, n3-1) cell centers.
 * Serialization flattens nodes in C order, so x3 varies fastest, then x2,
   then x1. Vector components are separate columns.
 * A "scaled" gradient or Hessian multiplies every x3 derivative by 1/eps.
 
+One dimension-generic Q1 kernel (corner gather/scatter, shape gradients,
+Gauss rule, cell stiffness, gradient second moments, gauge weights) serves
+the 3D plate and the 2D midsurface alike: the dimension is
+``len(grid.shape)`` and cell corners are ordered as
+``itertools.product((0, 1), repeat=dim)``.
+
 The discrete gradient at a cell point is the gradient of the cell's
-trilinear interpolant; second derivatives use nodal finite differences
+multilinear interpolant; second derivatives use nodal finite differences
 (one-sided at the boundary) averaged to cell centers. Both are exact on
 quadratic polynomials.
 """
 
+import functools
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,24 +33,20 @@ import numpy as np
 __all__ = [
     "Grid3",
     "Grid2",
-    "corner_gather3",
-    "corner_scatter3",
-    "shape_gradients3",
-    "gauss_points3",
+    "corner_gather",
+    "corner_scatter",
+    "shape_gradients",
+    "gauss_points",
+    "local_stiffness",
+    "gradient_second_moments",
+    "node_weights",
     "scaled_gradient",
     "gradient_scatter",
     "scaled_hessian",
     "hessian_scatter",
     "integrate3",
-    "integrate2",
     "zero_mean_project",
     "node_mean",
-    "corner_gather2",
-    "corner_scatter2",
-    "shape_gradients2",
-    "gauss_points2",
-    "gradient2",
-    "gradient2_scatter",
     "save_field_csv",
     "load_field_csv",
 ]
@@ -55,8 +61,26 @@ def _axes_weights(n, h):
     return w
 
 
+class _GridAxes:
+    """Cell shape, per-axis spacing and cached 1D operators, shared by Grid2 and Grid3."""
+
+    @property
+    def cshape(self):
+        return tuple(n - 1 for n in self.shape)
+
+    @property
+    def spacing(self):
+        return tuple(1.0 / (n - 1) for n in self.shape)
+
+    def axis_ops(self, axis):
+        """Cached 1D difference/averaging matrices for this axis."""
+        if axis not in self._ops:
+            self._ops[axis] = _make_axis_ops(self.shape[axis], self.spacing[axis])
+        return self._ops[axis]
+
+
 @dataclass
-class Grid3:
+class Grid3(_GridAxes):
     """Uniform tensor-product grid on (0,1)^2 x (-1/2,1/2). At least 3 nodes per axis."""
 
     n1: int
@@ -89,25 +113,14 @@ class Grid3:
     def shape(self):
         return (self.n1, self.n2, self.n3)
 
-    @property
-    def cshape(self):
-        return (self.n1 - 1, self.n2 - 1, self.n3 - 1)
-
-    def axis_ops(self, axis):
-        """Cached 1D difference/averaging matrices for this axis."""
-        if axis not in self._ops:
-            n = self.shape[axis]
-            h = (self.h1, self.h2, self.h3)[axis]
-            self._ops[axis] = _make_axis_ops(n, h)
-        return self._ops[axis]
-
 
 @dataclass
-class Grid2:
+class Grid2(_GridAxes):
     """Uniform grid on the unit square (0,1)^2. At least 3 nodes per axis."""
 
     n1: int
     n2: int
+    _ops: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         for n in (self.n1, self.n2):
@@ -126,10 +139,6 @@ class Grid2:
     @property
     def shape(self):
         return (self.n1, self.n2)
-
-    @property
-    def cshape(self):
-        return (self.n1 - 1, self.n2 - 1)
 
 
 def _make_axis_ops(n, h):
@@ -157,30 +166,24 @@ def _make_axis_ops(n, h):
 
 
 # ---------------------------------------------------------------------------
-# corner gather / scatter (3D)
-
-_CORNERS3 = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+# dimension-generic Q1 kernel
 
 
-def corner_gather3(f, grid):
-    """Stack the 8 corner values of every cell: (n1,n2,n3,*) -> (nc1,nc2,nc3,8,*)."""
-    slabs = []
-    for a, b, c in _CORNERS3:
-        s1 = slice(a, grid.n1 - 1 + a)
-        s2 = slice(b, grid.n2 - 1 + b)
-        s3 = slice(c, grid.n3 - 1 + c)
-        slabs.append(f[s1, s2, s3])
-    return np.stack(slabs, axis=3)
+def _corner_slices(grid):
+    """Per cell corner, in corner order, the index that selects that corner of every cell."""
+    return itertools.product(*[(slice(0, n - 1), slice(1, n)) for n in grid.shape])
 
 
-def corner_scatter3(U, grid, out_trailing=()):
-    """Adjoint of corner_gather3: add per-cell corner values into a nodal array."""
-    out = np.zeros((grid.n1, grid.n2, grid.n3) + tuple(out_trailing))
-    for k, (a, b, c) in enumerate(_CORNERS3):
-        s1 = slice(a, grid.n1 - 1 + a)
-        s2 = slice(b, grid.n2 - 1 + b)
-        s3 = slice(c, grid.n3 - 1 + c)
-        out[s1, s2, s3] += U[:, :, :, k]
+def corner_gather(f, grid):
+    """Stack the 2^dim corner values of every cell: (*shape, *) -> (*cshape, 2^dim, *)."""
+    return np.stack([f[s] for s in _corner_slices(grid)], axis=len(grid.shape))
+
+
+def corner_scatter(U, grid, out_trailing=()):
+    """Adjoint of corner_gather: add per-cell corner values into a nodal array."""
+    out = np.zeros(grid.shape + tuple(out_trailing))
+    for s, u in zip(_corner_slices(grid), np.moveaxis(U, len(grid.shape), 0)):
+        out[s] += u
     return out
 
 
@@ -188,57 +191,97 @@ def _lin(t, bit):
     return t if bit else 1.0 - t
 
 
-def shape_gradients3(grid, eps, point=(0.5, 0.5, 0.5)):
-    """Scaled trilinear shape-function gradients at a local cell point.
+def shape_gradients(grid, eps=1.0, point=None):
+    """Scaled Q1 shape-function gradients at a local cell point (default: the center).
 
-    Returns an (8, 3) array V with V[corner, j] = d N_corner / d x_j, the x3
-    column multiplied by 1/eps. The corner order matches corner_gather3.
+    Returns a (2^dim, dim) array V with V[corner, j] = d N_corner / d x_j in
+    the corner order of corner_gather. On a Grid3 the x3 column is
+    multiplied by 1/eps.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    xi, eta, zeta = point
-    V = np.empty((8, 3))
-    for k, (a, b, c) in enumerate(_CORNERS3):
-        sa, sb, sc = 2 * a - 1, 2 * b - 1, 2 * c - 1
-        V[k, 0] = sa / grid.h1 * _lin(eta, b) * _lin(zeta, c)
-        V[k, 1] = _lin(xi, a) * sb / grid.h2 * _lin(zeta, c)
-        V[k, 2] = _lin(xi, a) * _lin(eta, b) * sc / (grid.h3 * eps)
+    dim = len(grid.shape)
+    if point is None:
+        point = (0.5,) * dim
+    h = [hj * eps if j == 2 else hj for j, hj in enumerate(grid.spacing)]
+    V = np.empty((2**dim, dim))
+    for k, corner in enumerate(itertools.product((0, 1), repeat=dim)):
+        for j in range(dim):
+            # one factor per axis, multiplied in axis order: a fixed order keeps Kloc reproducible to the bit
+            v = 1.0
+            for i, (bit, t) in enumerate(zip(corner, point)):
+                v = v * (2 * bit - 1) / h[i] if i == j else v * _lin(t, bit)
+            V[k, j] = v
     return V
 
 
-def gauss_points3():
-    """The 8 tensor-product Gauss points of a cell in local coordinates."""
-    g = (_GAUSS_LO, _GAUSS_HI)
-    return [(x, y, z) for x in g for y in g for z in g]
+def gauss_points(dim):
+    """The 2^dim tensor-product Gauss points of a cell in local coordinates."""
+    return list(itertools.product((_GAUSS_LO, _GAUSS_HI), repeat=dim))
 
 
-def scaled_gradient(y, grid, eps, point=(0.5, 0.5, 0.5)):
+def local_stiffness(coef, grid, eps=1.0):
+    """Per-cell Q1 stiffness for a cellwise-constant coefficient (tensor Gauss rule)."""
+    dim = len(grid.shape)
+    w = math.prod(grid.spacing) / 2**dim
+    K = None
+    for pt in gauss_points(dim):
+        V = shape_gradients(grid, eps, pt)
+        contrib = w * np.einsum("ai,...ij,bj->...ab", V, coef, V, optimize=True)
+        K = contrib if K is None else K + contrib
+    return K
+
+
+def gradient_second_moments(phi, grid, eps=1.0):
+    """Per-cell Gauss-rule second moment of the scaled gradient of a nodal scalar.
+
+    Returns G2 with shape cshape + (dim, dim), G2 = sum_g w_g grad phi (x) grad phi
+    with weights summing to the cell measure, so sum(coef * G2) is the
+    quadratic form that local_stiffness assembles.
+    """
+    dim = len(grid.shape)
+    w = math.prod(grid.spacing) / 2**dim
+    U = corner_gather(np.asarray(phi, dtype=float), grid)
+    G2 = np.zeros(grid.cshape + (dim, dim))
+    for pt in gauss_points(dim):
+        g = np.einsum("...a,aj->...j", U, shape_gradients(grid, eps, pt))
+        G2 += w * g[..., :, None] * g[..., None, :]
+    return G2
+
+
+def node_weights(grid):
+    """Trapezoid nodal weights normalized to unit sum (the gauge weights)."""
+    w = functools.reduce(np.multiply.outer, [_axes_weights(n, h) for n, h in zip(grid.shape, grid.spacing)])
+    return w / w.sum()
+
+
+def scaled_gradient(y, grid, eps, point=None):
     """Per-cell scaled gradient of a nodal field at a local cell point.
 
-    For a vector field y of shape (n1,n2,n3,3) returns G of shape
-    (nc1,nc2,nc3,3,3) with G[..., k, j] = d y_k / d x_j at the given local
-    point (default: cell center), the j = x3 column scaled by 1/eps.
-    A scalar field returns (nc1,nc2,nc3,3).
+    For a vector field y of shape (*shape, m) returns G of shape
+    (*cshape, m, dim) with G[..., k, j] = d y_k / d x_j at the given local
+    point (default: cell center), on a Grid3 the j = x3 column scaled by
+    1/eps. A scalar field returns (*cshape, dim).
     """
-    V = shape_gradients3(grid, eps, point)
-    U = corner_gather3(np.asarray(y, dtype=float), grid)
-    if U.ndim == 5:
+    V = shape_gradients(grid, eps, point)
+    U = corner_gather(np.asarray(y, dtype=float), grid)
+    if U.ndim > len(grid.shape) + 1:
         return np.einsum("...ak,aj->...kj", U, V)
     return np.einsum("...a,aj->...j", U, V)
 
 
-def gradient_scatter(P, grid, eps, point=(0.5, 0.5, 0.5)):
+def gradient_scatter(P, grid, eps, point=None):
     """Adjoint of scaled_gradient at the same local cell point.
 
-    P has shape (nc1,nc2,nc3,3,3) (or (...,3) for scalar fields); the result
-    is the nodal field ``dE/dy`` for E = sum_cells P : scaled_gradient(y).
+    P has shape (*cshape, m, dim) (or (*cshape, dim) for scalar fields); the
+    result is the nodal field ``dE/dy`` for E = sum_cells P : scaled_gradient(y).
     """
-    V = shape_gradients3(grid, eps, point)
-    if P.ndim == 5:
+    V = shape_gradients(grid, eps, point)
+    if P.ndim > len(grid.shape) + 1:
         U = np.einsum("...kj,aj->...ak", P, V)
-        return corner_scatter3(U, grid, out_trailing=(3,))
+        return corner_scatter(U, grid, out_trailing=P.shape[-2:-1])
     U = np.einsum("...j,aj->...a", P, V)
-    return corner_scatter3(U, grid)
+    return corner_scatter(U, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +360,6 @@ def integrate3(cell_values, grid):
     return float(np.sum(cell_values) * grid.cell_volume)
 
 
-def integrate2(cell_values, grid):
-    """Midpoint-rule integral of a cellwise quantity over the unit square."""
-    return float(np.sum(cell_values) * grid.cell_area)
-
-
 def node_mean(f, grid):
     """Volume-weighted nodal mean (trapezoid rule), per trailing component."""
     f = np.asarray(f, dtype=float)
@@ -333,54 +371,6 @@ def node_mean(f, grid):
 def zero_mean_project(f, grid):
     """Subtract the volume-weighted mean from a nodal field (idempotent)."""
     return np.asarray(f, dtype=float) - node_mean(f, grid)
-
-
-# ---------------------------------------------------------------------------
-# 2D counterparts
-
-_CORNERS2 = [(a, b) for a in (0, 1) for b in (0, 1)]
-
-
-def corner_gather2(f, grid):
-    slabs = []
-    for a, b in _CORNERS2:
-        slabs.append(f[a : grid.n1 - 1 + a, b : grid.n2 - 1 + b])
-    return np.stack(slabs, axis=2)
-
-
-def corner_scatter2(U, grid, out_trailing=()):
-    out = np.zeros((grid.n1, grid.n2) + tuple(out_trailing))
-    for k, (a, b) in enumerate(_CORNERS2):
-        out[a : grid.n1 - 1 + a, b : grid.n2 - 1 + b] += U[:, :, k]
-    return out
-
-
-def shape_gradients2(grid, point=(0.5, 0.5)):
-    """Bilinear shape-function gradients at a local cell point, (4, 2) array."""
-    xi, eta = point
-    V = np.empty((4, 2))
-    for k, (a, b) in enumerate(_CORNERS2):
-        V[k, 0] = (2 * a - 1) / grid.h1 * _lin(eta, b)
-        V[k, 1] = _lin(xi, a) * (2 * b - 1) / grid.h2
-    return V
-
-
-def gauss_points2():
-    g = (_GAUSS_LO, _GAUSS_HI)
-    return [(x, y) for x in g for y in g]
-
-
-def gradient2(f, grid):
-    """Cell-centered gradient of a nodal scalar field on a Grid2, shape (nc1,nc2,2)."""
-    V = shape_gradients2(grid)
-    U = corner_gather2(np.asarray(f, dtype=float), grid)
-    return np.einsum("...a,aj->...j", U, V)
-
-
-def gradient2_scatter(P, grid):
-    V = shape_gradients2(grid)
-    U = np.einsum("...j,aj->...a", P, V)
-    return corner_scatter2(U, grid)
 
 
 # ---------------------------------------------------------------------------

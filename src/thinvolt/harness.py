@@ -12,7 +12,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -26,9 +25,8 @@ from .material import (
     Material,
     PermittivityModel,
     PrestrainModel,
-    Q3_form,
 )
-from .recovery import SWEEP_COLUMNS, RecoveryInputs, SweepRow, recovery_sweep
+from .recovery import SWEEP_COLUMNS, RecoveryInputs, SweepRow, lift_deformation, optimal_corrector, recovery_sweep
 from .relaxation import RelaxedQ2
 
 __all__ = [
@@ -115,14 +113,8 @@ class RunConfig:
         eps = data.get("eps", [0.25, 0.125, 0.0625, 0.03125])
         if not isinstance(eps, (list, tuple)) or not eps:
             raise ConfigError("'eps' must be a nonempty list")
-        try:
-            self.eps_list = [float(e) for e in eps]
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError("'eps' entries must be numbers")
-        if not all(map(math.isfinite, self.eps_list)):
-            raise ConfigError("'eps' entries must be finite")
-        if any(e <= 0 for e in self.eps_list):
-            raise ConfigError("'eps' entries must be positive")
+        entries = dict(enumerate(eps))
+        self.eps_list = [_num(entries, i, None, "eps", positive=True) for i in entries]
         if any(b >= a for a, b in zip(self.eps_list, self.eps_list[1:])):
             raise ConfigError("'eps' must be strictly decreasing")
 
@@ -396,36 +388,13 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _thread_count():
-    raw = os.environ.get("THINVOLT_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
-def _run_sweep_rows(cfg, eps_list):
-    grid3 = cfg.grid3()
-    inputs = cfg.recovery_inputs(cfg.grid2())
-    mat = cfg.material
-    threads = _thread_count()
-    if threads == 1 or len(eps_list) == 1:
-        return recovery_sweep(inputs, mat, grid3, eps_list, solver_tol=cfg.poisson_tol)
-
-    def one(eps):
-        return recovery_sweep(inputs, mat, grid3, [eps], solver_tol=cfg.poisson_tol)[0]
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, eps_list))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def _cmd_sweep(cfg, out_dir):
-    rows = _run_sweep_rows(cfg, cfg.eps_list)
+    inputs = cfg.recovery_inputs(cfg.grid2())
+    rows = recovery_sweep(inputs, cfg.material, cfg.grid3(), cfg.eps_list, solver_tol=cfg.poisson_tol)
     _write_csv(os.path.join(out_dir, "sweep.csv"), SWEEP_COLUMNS, [r.values() for r in rows])
     xs = [r.eps for r in rows]
     svgplot.write_loglog_svg(
@@ -463,9 +432,7 @@ def _cmd_solve3d(cfg, out_dir):
     grid3 = cfg.grid3()
     mat = cfg.material
     inputs = cfg.recovery_inputs(cfg.grid2())
-    rq = RelaxedQ2(Q3_form(mat.elastic), mat.prestrain)
-    from .recovery import lift_deformation, optimal_corrector
-
+    rq = RelaxedQ2.of(mat)
     d = optimal_corrector(inputs, grid3, rq)
     y_init = lift_deformation(inputs.isometry, eps, grid3, inputs.g_matrix, d)
     rng = np.random.default_rng(cfg.seed)
@@ -506,7 +473,7 @@ def _cmd_solve2d(cfg, out_dir):
     grid2 = cfg.grid2(planar=True)
     mat = cfg.material
     theta0 = cfg.theta_profile(grid2)
-    rq = RelaxedQ2(Q3_form(mat.elastic), mat.prestrain)
+    rq = RelaxedQ2.of(mat)
     y0, phi, history, converged = saddle_iterate_2d(
         theta0, grid2, mat, iters=cfg.max_iters, tol=cfg.grad_tol, rq=rq, solver_tol=cfg.poisson_tol
     )
@@ -536,7 +503,7 @@ def _cmd_solve2d(cfg, out_dir):
 
 def _cmd_relax(cfg, out_dir):
     mat = cfg.material
-    rq = RelaxedQ2(Q3_form(mat.elastic), mat.prestrain)
+    rq = RelaxedQ2.of(mat)
     mu, lam = mat.elastic.mu, mat.elastic.lam
     coef = 2.0 * mu * lam / (2.0 * mu + lam)
     # closed-form reduced matrix in row-major vec(2x2) coordinates

@@ -14,7 +14,6 @@ import numpy as np
 
 from . import bending2d, elastic3d, electro3d, fields
 from .bending2d import CylindricalIsometry
-from .material import Q3_form
 from .relaxation import RelaxedQ2, effective_permittivity, m_out_of_plane
 
 __all__ = [
@@ -60,10 +59,6 @@ class RecoveryInputs:
         g[..., 0] = S[0, 0] * X1 + S[0, 1] * X2
         g[..., 1] = S[1, 0] * X1 + S[1, 1] * X2
         return g
-
-
-def _relaxed_form(mat):
-    return RelaxedQ2(Q3_form(mat.elastic), mat.prestrain)
 
 
 def optimal_corrector(inputs, grid, rq):
@@ -153,8 +148,8 @@ def out_of_plane_profile(y0, phi0, mat):
     and the bending-frame reduced permittivity blocks at the nodal angles.
     """
     grid = y0.grid
-    d1 = fields._make_axis_ops(grid.n1, grid.h1)["D1"]
-    d2 = fields._make_axis_ops(grid.n2, grid.h2)["D1"]
+    d1 = grid.axis_ops(0)["D1"]
+    d2 = grid.axis_ops(1)["D1"]
     phi0 = np.asarray(phi0, dtype=float)
     grad = np.stack([d1 @ phi0, phi0 @ d2.T], axis=-1)  # (n1, n2, 2)
     R = CylindricalIsometry.frame_of(y0.theta)
@@ -305,7 +300,7 @@ def recovery_sweep(inputs, mat, grid, eps_list, use_mollifier=False, solver_tol=
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
     if rq is None:
-        rq = _relaxed_form(mat)
+        rq = RelaxedQ2.of(mat)
     y0 = inputs.isometry
     grid2 = y0.grid
     dbar = optimal_corrector(inputs, grid, rq)

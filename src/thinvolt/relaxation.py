@@ -13,6 +13,7 @@ Three eliminations produce the effective 2D model:
 
 import numpy as np
 
+from .material import Q3_form
 from .smallmat import PartitionedSym3, QuadForm2, schur_effective
 
 __all__ = [
@@ -91,6 +92,11 @@ class RelaxedQ2:
         self._zmap = -np.linalg.solve(M, S.T @ A @ E)
         A2 = E.T @ (A - A @ S @ np.linalg.solve(M, S.T @ A)) @ E
         self.q2 = QuadForm2(A2)
+
+    @classmethod
+    def of(cls, mat):
+        """The relaxed form of a Material: its elastic density's expansion at the identity and its prestrain."""
+        return cls(Q3_form(mat.elastic), mat.prestrain)
 
     # -- pointwise relaxed form -------------------------------------------
 

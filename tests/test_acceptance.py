@@ -160,7 +160,7 @@ def test_criterion_04_energy_rewrite_identity():
         f = F_eps(y, phi, grid, eps, mat)
         m = M_eps(y, grid, eps, mat)
         nc = mat.charge.n_ch(grid.c1)[:, None, None]
-        phibar = fields.corner_gather3(phi, grid).mean(axis=3)
+        phibar = fields.corner_gather(phi, grid).mean(axis=3)
         moment = grid.cell_volume * float(np.sum(nc * phibar))
         worst = max(worst, abs(f - m - 0.5 * gamma * moment) / (1.0 + abs(f)))
     ok = worst <= 1e-8

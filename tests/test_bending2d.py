@@ -21,7 +21,6 @@ from thinvolt.material import (
     Material,
     PermittivityModel,
     PrestrainModel,
-    Q3_form,
 )
 from thinvolt.relaxation import RelaxedQ2, effective_permittivity
 
@@ -37,7 +36,7 @@ def _mat(k=None, B1=None, beta=1.0, gamma=1.0):
 
 
 def _rq(mat):
-    return RelaxedQ2(Q3_form(mat.elastic), mat.prestrain)
+    return RelaxedQ2.of(mat)
 
 
 def test_isometry_geometry_closed_form():

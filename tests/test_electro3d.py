@@ -9,7 +9,6 @@ from thinvolt.electro3d import (
     E_eps,
     assemble_poisson3,
     check_pg0,
-    gradient_second_moments,
     solve_potential3,
 )
 from thinvolt.fields import Grid3
@@ -231,7 +230,7 @@ def test_energy_identity_at_solved_potential():
     system = assemble_poisson3(y, grid, eps, mat)
     phi = solve_potential3(system, tol=1e-12)
     nc = mat.charge.n_ch(grid.c1)[:, None, None]
-    phibar = fields.corner_gather3(phi, grid).mean(axis=3)
+    phibar = fields.corner_gather(phi, grid).mean(axis=3)
     moment = grid.cell_volume * float(np.sum(nc * phibar))
     E = E_eps(y, phi, grid, eps, mat)
     assert abs(E + 0.5 * gamma * moment) < 1e-10 * (1.0 + abs(E))
@@ -252,7 +251,7 @@ def test_gradient_second_moments_consistency():
     F0 = np.eye(3) + 0.1 * rng.standard_normal((3, 3))
     y = _affine_y(grid, eps, F0)
     phi = rng.standard_normal(grid.shape)
-    G2 = gradient_second_moments(y, phi, grid, eps)
+    G2 = fields.gradient_second_moments(phi, grid, eps)
     assert G2.shape == grid.cshape + (3, 3)
     assert np.max(np.abs(G2 - np.swapaxes(G2, -1, -2))) < 1e-13
     evals = np.linalg.eigvalsh(G2)
@@ -329,7 +328,6 @@ def test_line_blocks_match_dense_column_blocks():
 
 
 def test_line_preconditioned_pcg_iterations_flat_in_eps():
-    from thinvolt.material import Q3_form
     from thinvolt.recovery import lift_deformation, optimal_corrector
     from thinvolt.relaxation import RelaxedQ2
 
@@ -338,7 +336,7 @@ def test_line_preconditioned_pcg_iterations_flat_in_eps():
     grid = cfg.grid3()
     mat = cfg.material
     inputs = cfg.recovery_inputs(cfg.grid2())
-    d = optimal_corrector(inputs, grid, RelaxedQ2(Q3_form(mat.elastic), mat.prestrain))
+    d = optimal_corrector(inputs, grid, RelaxedQ2.of(mat))
     for eps in cfg.eps_list:
         y = lift_deformation(inputs.isometry, eps, grid, inputs.g_matrix, d)
         system = assemble_poisson3(y, grid, eps, mat)

@@ -43,14 +43,14 @@ def test_node_mean_and_zero_mean_project():
 
 
 def test_gather_scatter_adjoint():
-    """corner_scatter3 is the exact adjoint of corner_gather3."""
-    g = Grid3(5, 4, 3)
+    """corner_scatter is the exact adjoint of corner_gather, in 2D and 3D."""
     rng = np.random.default_rng(3)
-    u = rng.standard_normal(g.shape)
-    w = rng.standard_normal(g.cshape + (8,))
-    lhs = np.sum(fields.corner_gather3(u, g) * w)
-    rhs = np.sum(u * fields.corner_scatter3(w, g))
-    assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+    for g in (Grid2(6, 5), Grid3(5, 4, 3)):
+        u = rng.standard_normal(g.shape)
+        w = rng.standard_normal(g.cshape + (2 ** len(g.shape),))
+        lhs = np.sum(fields.corner_gather(u, g) * w)
+        rhs = np.sum(u * fields.corner_scatter(w, g))
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
 def test_gradient_scatter_adjoint():
@@ -113,11 +113,18 @@ def test_scaled_hessian_quadratic_exactness():
 
 
 def test_gauss_points():
-    pts3 = fields.gauss_points3()
-    assert len(pts3) == 8
-    arr = np.array(pts3)
-    assert np.allclose(np.sort(np.unique(arr)), [0.5 - 0.5 / np.sqrt(3), 0.5 + 0.5 / np.sqrt(3)])
-    assert len(fields.gauss_points2()) == 4
+    lo, hi = 0.5 - 0.5 / np.sqrt(3), 0.5 + 0.5 / np.sqrt(3)
+    for dim in (2, 3):
+        pts = fields.gauss_points(dim)
+        assert len(pts) == 2**dim
+        arr = np.array(pts)
+        assert arr.shape == (2**dim, dim)
+        assert np.allclose(np.sort(np.unique(arr)), [lo, hi])
+        # the tensor rule integrates each shape-function gradient exactly:
+        # the mean over the points is the gradient at the cell center
+        g = Grid2(5, 4) if dim == 2 else Grid3(5, 4, 3)
+        mean = np.mean([fields.shape_gradients(g, 1.0, pt) for pt in pts], axis=0)
+        assert np.max(np.abs(mean - fields.shape_gradients(g))) < 1e-12
 
 
 def test_grid2_and_gradient2_adjoint():
@@ -125,8 +132,8 @@ def test_grid2_and_gradient2_adjoint():
     rng = np.random.default_rng(6)
     u = rng.standard_normal(g.shape)
     P = rng.standard_normal(g.cshape + (2,))
-    lhs = np.sum(fields.gradient2(u, g) * P)
-    rhs = np.sum(u * fields.gradient2_scatter(P, g))
+    lhs = np.sum(fields.scaled_gradient(u, g, 1.0) * P)
+    rhs = np.sum(u * fields.gradient_scatter(P, g, 1.0))
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
@@ -134,7 +141,7 @@ def test_gradient2_exact_on_bilinear():
     g = Grid2(5, 7)
     X1, X2 = np.meshgrid(g.x1, g.x2, indexing="ij")
     u = 3.0 * X1 - 2.0 * X2
-    G = fields.gradient2(u, g)
+    G = fields.scaled_gradient(u, g, 1.0)
     assert np.max(np.abs(G - np.array([3.0, -2.0]))) <= 1e-12
 
 

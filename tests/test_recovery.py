@@ -10,7 +10,6 @@ from thinvolt.material import (
     Material,
     PermittivityModel,
     PrestrainModel,
-    Q3_form,
 )
 from thinvolt.recovery import (
     SWEEP_COLUMNS,
@@ -28,7 +27,7 @@ from thinvolt.relaxation import RelaxedQ2
 
 
 def _rq(mat):
-    return RelaxedQ2(Q3_form(mat.elastic), mat.prestrain)
+    return RelaxedQ2.of(mat)
 
 
 def test_corrector_closed_form_no_prestrain():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize, minimize_scalar
 
-from thinvolt.material import ElasticParams, PrestrainModel, Q3_form
+from thinvolt.material import ElasticParams, Material, PrestrainModel, Q3_form
 from thinvolt.relaxation import (
     RelaxedQ2,
     effective_permittivity,
@@ -156,6 +156,16 @@ def test_qbar2_coefficients_no_prestrain():
     assert np.max(np.abs(P - rq.q2.A / 12.0)) < 1e-10
     assert np.max(np.abs(q)) < 1e-10
     assert abs(r) < 1e-12
+
+
+def test_relaxed_form_of_material():
+    mat = Material(elastic=ElasticParams(mu=1.3, lam=0.7), prestrain=PrestrainModel(B1=np.diag([0.3, 0.0, 0.1])))
+    rq = RelaxedQ2.of(mat)
+    ref = RelaxedQ2(Q3_form(mat.elastic), mat.prestrain)
+    assert rq.prestrain is mat.prestrain
+    assert np.array_equal(rq.q2.A, ref.q2.A)
+    for got, want in zip(rq.qbar2_coefficients(), ref.qbar2_coefficients()):
+        assert np.array_equal(got, want)
 
 
 def test_effective_permittivity_identity_frame():
