@@ -333,19 +333,19 @@ def solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-10, grad_tol=1e-7
     converged = False
     step = 1.0
     phi = None
-
-    def F_frozen_y(ycur):
-        def ev(_y, p):
-            return elastic3d.F_eps(ycur, p, grid, eps, mat)
-
-        return ev
-
     for _ in range(int(max_iters)):
         system = electro3d.assemble_poisson3(y, grid, eps, mat)
         phi = electro3d.solve_potential3(system, tol=poisson_tol, x0=phi)
         pg0 = electro3d.check_pg0(y, phi, grid, eps, mat)
-        f_phi = elastic3d.F_eps(y, phi, grid, eps, mat)
-        probe = saddle_probe(F_frozen_y(y), (y, phi), n_probes=probe_count, radius=probe_radius, rng=rng, sides=("phi",))
+        # F_eps = M_eps - E_eps with M_eps independent of phi: the phi-side
+        # evaluations reuse one M_eps per iterate (y is always feasible here)
+        m_y = elastic3d.M_eps(y, grid, eps, mat)
+
+        def F_frozen_y(_y, p):
+            return m_y - electro3d.E_eps(y, p, grid, eps, mat)
+
+        f_phi = F_frozen_y(y, phi)
+        probe = saddle_probe(F_frozen_y, (y, phi), n_probes=probe_count, radius=probe_radius, rng=rng, sides=("phi",))
         g = elastic3d.grad_y_F_eps(y, phi, grid, eps, mat)
         gnorm = float(np.linalg.norm(g))
         if gnorm <= grad_tol:
@@ -427,6 +427,13 @@ def _cmd_sweep(cfg, out_dir):
     return 0 if summary["pass"] else 1
 
 
+def _termination(converged, history):
+    """Why solve3d_alternating stopped; a failed line search records a zero step."""
+    if converged:
+        return "converged"
+    return "line_search" if history[-1][3] == 0.0 else "max_iters"
+
+
 def _cmd_solve3d(cfg, out_dir):
     eps = cfg.eps_list[0]
     grid3 = cfg.grid3()
@@ -458,6 +465,7 @@ def _cmd_solve3d(cfg, out_dir):
         "seed": cfg.seed,
         "eps": eps,
         "converged": bool(converged),
+        "termination": _termination(converged, history),
         "iterations": len(history),
         "F_eps": float(history[-1][1]),
         "grad_norm": float(history[-1][2]),

@@ -1,0 +1,98 @@
+"""Limited-memory BFGS with a diagonal metric and Armijo backtracking.
+
+The two-loop recursion (Nocedal, Math. Comp. 35, 1980; Liu & Nocedal,
+Math. Prog. 45, 1989) starts from a diagonal inverse metric M^-1 scaled by
+s.y / y.M^-1 y of the newest curvature pair, so a metric that matches the
+dominant part of the Hessian (a lumped mass, say) carries over into every
+step.
+"""
+
+from collections import deque
+
+import numpy as np
+
+__all__ = ["MEMORY", "lbfgs"]
+
+MEMORY = 10  # curvature pairs kept
+ARMIJO = 1e-4  # sufficient-decrease constant
+MAX_BACKTRACKS = 40  # step halvings before a line search gives up
+
+
+def _direction(g, pairs, inv_metric):
+    """-H g by the two-loop recursion over the stored (s, y, 1/s.y) pairs."""
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        a = rho * np.vdot(s, q)
+        q -= a * y
+        alphas.append(a)
+    if pairs:
+        s, y, _ = pairs[-1]
+        gamma = np.vdot(s, y) / np.vdot(y, inv_metric * y)
+    else:
+        gamma = 1.0
+    r = gamma * inv_metric * q
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
+        r += (a - rho * np.vdot(y, r)) * s
+    return -r
+
+
+def _backtrack(fun, x, f, g, p):
+    """Armijo backtracking from the unit step; (x, f) accepted, or None."""
+    slope = float(np.vdot(g, p))
+    t = 1.0
+    for _ in range(MAX_BACKTRACKS):
+        cand = x + t * p
+        fc = float(fun(cand))
+        if fc <= f + ARMIJO * t * slope:
+            return cand, fc
+        t *= 0.5
+    return None
+
+
+def lbfgs(fun, grad, x0, inv_metric, max_iter, grad_tol):
+    """Minimise fun from x0; returns (x, info).
+
+    grad is called once at the top of each iteration, so info["iters"] is
+    the number of gradient calls. The loop stops when the Euclidean norm of
+    the gradient falls to grad_tol (converged), after max_iter gradient
+    calls, or when a line search fails both along the L-BFGS direction and,
+    with the memory dropped, along -M^-1 g. inv_metric is a positive array
+    that broadcasts against x. A non-finite trial objective is rejected.
+
+    info: iters, grad_norm and objective at the returned x, converged, and
+    objectives, the accepted objective values starting with fun(x0).
+    """
+    x = np.array(x0, dtype=float)
+    f = float(fun(x))
+    objectives = [f]
+    pairs = deque(maxlen=MEMORY)
+    x_prev = g_prev = None
+    gnorm = np.inf
+    converged = False
+    it = 0
+    for it in range(1, int(max_iter) + 1):
+        g = grad(x)
+        gnorm = float(np.linalg.norm(g))
+        if gnorm <= grad_tol:
+            converged = True
+            break
+        if it == max_iter:
+            break
+        if x_prev is not None:
+            s = x - x_prev
+            y = g - g_prev
+            sy = float(np.vdot(s, y))
+            if sy > 0.0:
+                pairs.append((s, y, 1.0 / sy))
+        step = _backtrack(fun, x, f, g, _direction(g, pairs, inv_metric))
+        if step is None and pairs:
+            pairs.clear()
+            step = _backtrack(fun, x, f, g, -inv_metric * g)
+        if step is None:
+            break
+        x_prev, g_prev = x, g
+        x, f = step
+        objectives.append(f)
+    info = {"iters": it, "grad_norm": gnorm, "objective": f, "converged": converged, "objectives": objectives}
+    return x, info

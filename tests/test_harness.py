@@ -10,6 +10,7 @@ from thinvolt.harness import (
     RunConfig,
     check_conditions,
     cli_main,
+    _termination,
     saddle_probe,
     solve3d_alternating,
 )
@@ -211,6 +212,39 @@ def test_solve3d_alternating_bookkeeping():
         solve3d_alternating(grid, eps, mat, bad)
 
 
+def test_solve3d_first_row_matches_full_F_eps():
+    # the phi-side evaluations reuse one M_eps per iterate; the values must
+    # be bit-identical to full F_eps calls at the first iterate
+    from thinvolt import electro3d, fields
+    from thinvolt.elastic3d import F_eps, flat_deformation
+
+    grid = Grid3(5, 5, 4)
+    eps = 0.25
+    mat = Material()
+    y_init = flat_deformation(grid, eps)
+    _, _, history, _ = solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-11, max_iters=1)
+    y0 = fields.zero_mean_project(y_init, grid)
+    phi1 = electro3d.solve_potential3(electro3d.assemble_poisson3(y0, grid, eps, mat), tol=1e-11)
+    assert history[0, 0] == F_eps(y0, phi1, grid, eps, mat)
+    probe = saddle_probe(
+        lambda _y, p: F_eps(y0, p, grid, eps, mat),
+        (y0, phi1),
+        n_probes=8,
+        radius=1e-3,
+        rng=np.random.default_rng(0),
+        sides=("phi",),
+    )
+    assert history[0, 5] == probe["phi_side"]
+
+
+def test_solve3d_termination_reasons():
+    accepted = np.array([[1.0, 0.9, 0.1, 0.5, 0.0, 0.0]])
+    failed = np.array([[1.0, 1.0, 0.1, 0.0, 0.0, 0.0]])
+    assert _termination(False, accepted) == "max_iters"
+    assert _termination(False, failed) == "line_search"
+    assert _termination(True, failed) == "converged"
+
+
 # ---------------------------------------------------------------------------
 # CLI end to end
 
@@ -381,6 +415,24 @@ def test_cli_solve3d(tmp_path):
     assert summary["worst_phi_probe"] <= 1e-8
     hist = (tmp_path / "out" / "solve3d_history.csv").read_text().splitlines()
     assert hist[0] == "F_after_phi,F_after_y,grad_norm,step,pg0_res,phi_probe"
+
+
+def test_cli_solve3d_reports_termination(tmp_path):
+    for grad_tol, max_iters, want in ((1e-7, 2, "max_iters"), (1e3, 5, "converged")):
+        cfgpath = _write_config(
+            tmp_path / "cfg.json",
+            extra={
+                "grid": {"n1": 5, "n2": 5, "n3": 4},
+                "eps": [0.25],
+                "solver": {"poisson_tol": 1e-11, "grad_tol": grad_tol, "max_iters": max_iters},
+            },
+        )
+        out = tmp_path / want
+        assert cli_main(["solve3d", "--config", cfgpath, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["termination"] == want
+        assert summary["converged"] == (want == "converged")
+        assert summary["iterations"] == (max_iters if want == "max_iters" else 1)
 
 
 def test_cli_eps_override(tmp_path):

@@ -191,6 +191,36 @@ def test_mollifier_zero_and_smooth_fields():
         assert mollifier_objective(v + dv, d, grid3, eps, tau, qh) >= final - slack
 
 
+def test_mollifier_converges_on_criterion_10_field():
+    # criterion 10's field at its largest eps, then with a small seeded
+    # in-plane perturbation sum c_kl sin(k pi x1) sin(l pi x2), k, l in {1, 2}
+    grid3 = Grid3(17, 17, 9)
+    d = np.zeros(grid3.shape + (3,))
+    d[..., 2] = 0.1 * np.sin(np.pi * grid3.x1)[:, None, None]
+    rng = np.random.default_rng(5)
+    bump = np.zeros(grid3.shape)
+    for k in (1, 2):
+        for l in (1, 2):
+            mode = np.outer(np.sin(k * np.pi * grid3.x1), np.sin(l * np.pi * grid3.x2))
+            bump += 5e-4 * rng.uniform(-1.0, 1.0) * mode[:, :, None]
+    eps, qh = 0.25, 4.0
+    for field in (d, d + bump[..., None] * np.array([0.0, 0.0, 1.0])):
+        v, info = mollify_field(field, grid3, eps, q_h=qh, iters=500, grad_tol=1e-8)
+        assert info["converged"] and info["iters"] < 500
+        assert info["grad_norm"] <= 1e-8
+        assert info["objective"] == mollifier_objective(v, field, grid3, eps, 0.5 * qh, qh)
+        assert info["objective"] < mollifier_objective(field, field, grid3, eps, 0.5 * qh, qh)
+
+
+def test_mollifier_iteration_cap_is_reported():
+    grid3 = Grid3(9, 7, 5)
+    d = np.zeros(grid3.shape + (3,))
+    d[..., 2] = 0.1 * np.sin(np.pi * grid3.x1)[:, None, None]
+    v, info = mollify_field(d, grid3, eps=0.25, iters=2)
+    assert info["iters"] == 2 and not info["converged"]
+    assert info["grad_norm"] > 1e-8
+
+
 def test_mollifier_validation():
     grid3 = Grid3(7, 5, 5)
     d = np.zeros(grid3.shape + (3,))
