@@ -12,7 +12,7 @@ quadratic terms, center-rule charge).
 import numpy as np
 
 from . import fields
-from .electro3d import PoissonSystem, charge_load
+from .electro3d import PoissonSystem, charge_load, electrostatic_energy, weak_form_residual
 from .relaxation import RelaxedQ2, effective_permittivity
 
 __all__ = [
@@ -217,8 +217,7 @@ def _energy_parts2(y0, phi, mat):
 
 def E0(y0, phi, mat):
     """Effective electrostatic energy (beta/2) int Keff grad'phi . grad'phi - gamma int nbar phi."""
-    quad, moment = _energy_parts2(y0, phi, mat)
-    return 0.5 * mat.coupling.beta * quad - mat.coupling.gamma * moment
+    return electrostatic_energy(*_energy_parts2(y0, phi, mat), mat.coupling)
 
 
 def F0(y0, phi, mat, rq=None):
@@ -230,10 +229,7 @@ def F0(y0, phi, mat, rq=None):
 
 def check_virial(y0, phi, mat):
     """Relative residual of the weak-form identity at a solved potential."""
-    quad, moment = _energy_parts2(y0, phi, mat)
-    lhs = mat.coupling.beta * quad
-    rhs = mat.coupling.gamma * moment
-    return abs(lhs - rhs) / (1.0 + abs(rhs))
+    return weak_form_residual(*_energy_parts2(y0, phi, mat), mat.coupling)
 
 
 # ---------------------------------------------------------------------------

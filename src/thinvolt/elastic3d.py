@@ -183,7 +183,7 @@ def apriori_report(y, phi, grid, eps, mat):
     darg = det3(arg)
     det_inv = fields.integrate3(np.where(darg > 0, darg, np.nan) ** (-qw / 2.0), grid) if np.min(darg) > 0 else np.inf
     # weighted flux and potential-gradient norm share the assembly quadratures
-    quad, _ = electro3d._energy_parts(y, phi, grid, eps, mat)
+    quad, _ = electro3d.dielectric_parts(y, grid, eps, mat)(phi)
     p_w = mat.elastic.conjugate_exponent()
     gp = fields.scaled_gradient(phi, grid, eps)
     gp_norm = fields.integrate3(np.sum(gp * gp, axis=-1) ** (p_w / 2.0), grid) ** (1.0 / p_w)

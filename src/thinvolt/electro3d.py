@@ -20,7 +20,7 @@ from .cg import SolverError, pcg
 from .material import kappa_pullback
 from .smallmat import det3
 
-__all__ = ["PoissonSystem", "PoissonSystem3", "charge_load", "assemble_poisson3", "solve_potential3", "E_eps", "check_pg0", "SolverError"]
+__all__ = ["PoissonSystem", "PoissonSystem3", "charge_load", "assemble_poisson3", "solve_potential3", "dielectric_parts", "electrostatic_energy", "weak_form_residual", "E_eps", "check_pg0", "SolverError"]
 
 
 def _orientation_check(F, grid):
@@ -157,22 +157,44 @@ def solve_potential3(system, tol=1e-10, x0=None, max_iter=None):
     return system.solve(tol=tol, x0=x0, max_iter=max_iter, precond=system.precondition)
 
 
-def _energy_parts(y, phi, grid, eps, mat):
-    """Dielectric quadratic term and charge moment, with the assembly quadratures."""
+def dielectric_parts(y, grid, eps, mat):
+    """Dielectric quadratic term and charge moment as a function of the potential.
+
+    The deformation-only factors (scaled gradient, orientation check,
+    permittivity pullback, charge density) are computed here once; the
+    returned callable maps phi to (quad, moment) with the assembly
+    quadratures, so every potential at a fixed y reuses them.
+    """
     F = fields.scaled_gradient(y, grid, eps)
     _orientation_check(F, grid)
-    G2 = fields.gradient_second_moments(phi, grid, eps)
-    quad = float(np.sum(kappa_pullback(F, mat.permittivity.k) * G2))
+    kappa = kappa_pullback(F, mat.permittivity.k)
     nc = mat.charge.n_ch(grid.c1)[:, None, None]
-    phibar = fields.corner_gather(phi, grid).mean(axis=3)
-    moment = grid.cell_volume * float(np.sum(nc * phibar))
-    return quad, moment
+
+    def parts(phi):
+        G2 = fields.gradient_second_moments(phi, grid, eps)
+        quad = float(np.sum(kappa * G2))
+        phibar = fields.corner_gather(phi, grid).mean(axis=3)
+        moment = grid.cell_volume * float(np.sum(nc * phibar))
+        return quad, moment
+
+    return parts
+
+
+def electrostatic_energy(quad, moment, coupling):
+    """(beta/2) quad - gamma moment: the electrostatic energy from its two parts."""
+    return 0.5 * coupling.beta * quad - coupling.gamma * moment
+
+
+def weak_form_residual(quad, moment, coupling):
+    """|beta quad - gamma moment| / (1 + |gamma moment|): the weak-form identity residual."""
+    lhs = coupling.beta * quad
+    rhs = coupling.gamma * moment
+    return abs(lhs - rhs) / (1.0 + abs(rhs))
 
 
 def E_eps(y, phi, grid, eps, mat):
     """Scaled electrostatic energy (beta/2) int kappa grad phi . grad phi - gamma int n phi."""
-    quad, moment = _energy_parts(y, phi, grid, eps, mat)
-    return 0.5 * mat.coupling.beta * quad - mat.coupling.gamma * moment
+    return electrostatic_energy(*dielectric_parts(y, grid, eps, mat)(phi), mat.coupling)
 
 
 def check_pg0(y, phi, grid, eps, mat):
@@ -182,8 +204,4 @@ def check_pg0(y, phi, grid, eps, mat):
     1 + |gamma int n phi|. Zero-mean test functions make both sides equal at
     the exact discrete solution, so this measures solver quality.
     """
-    quad, moment = _energy_parts(y, phi, grid, eps, mat)
-    lhs = mat.coupling.beta * quad
-    rhs = mat.coupling.gamma * moment
-    return abs(lhs - rhs) / (1.0 + abs(rhs))
-
+    return weak_form_residual(*dielectric_parts(y, grid, eps, mat)(phi), mat.coupling)

@@ -62,7 +62,11 @@ def _axes_weights(n, h):
 
 
 class _GridAxes:
-    """Cell shape, per-axis spacing and cached 1D operators, shared by Grid2 and Grid3."""
+    """Cell shape, per-axis spacing and cached operators, shared by Grid2 and Grid3.
+
+    The cache holds the 1D axis operators and the Q1 shape gradients, both
+    pure functions of the grid and their key.
+    """
 
     @property
     def cshape(self):
@@ -72,11 +76,15 @@ class _GridAxes:
     def spacing(self):
         return tuple(1.0 / (n - 1) for n in self.shape)
 
+    def _cached(self, key, build):
+        value = self._cache.get(key)
+        if value is None:
+            value = self._cache[key] = build()
+        return value
+
     def axis_ops(self, axis):
         """Cached 1D difference/averaging matrices for this axis."""
-        if axis not in self._ops:
-            self._ops[axis] = _make_axis_ops(self.shape[axis], self.spacing[axis])
-        return self._ops[axis]
+        return self._cached(("axis", axis), lambda: _make_axis_ops(self.shape[axis], self.spacing[axis]))
 
 
 @dataclass
@@ -86,7 +94,7 @@ class Grid3(_GridAxes):
     n1: int
     n2: int
     n3: int
-    _ops: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         for n in (self.n1, self.n2, self.n3):
@@ -120,7 +128,7 @@ class Grid2(_GridAxes):
 
     n1: int
     n2: int
-    _ops: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         for n in (self.n1, self.n2):
@@ -194,16 +202,21 @@ def _lin(t, bit):
 def shape_gradients(grid, eps=1.0, point=None):
     """Scaled Q1 shape-function gradients at a local cell point (default: the center).
 
-    Returns a (2^dim, dim) array V with V[corner, j] = d N_corner / d x_j in
-    the corner order of corner_gather. On a Grid3 the x3 column is
-    multiplied by 1/eps.
+    Returns a read-only (2^dim, dim) array V with V[corner, j] = d N_corner / d x_j
+    in the corner order of corner_gather. On a Grid3 the x3 column is
+    multiplied by 1/eps. The array is cached on the grid, keyed by
+    (eps, point).
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     dim = len(grid.shape)
-    if point is None:
-        point = (0.5,) * dim
-    h = [hj * eps if j == 2 else hj for j, hj in enumerate(grid.spacing)]
+    point = (0.5,) * dim if point is None else tuple(point)
+    return grid._cached(("shape_gradients", eps, point), lambda: _shape_gradients(grid.spacing, eps, point))
+
+
+def _shape_gradients(spacing, eps, point):
+    dim = len(spacing)
+    h = [hj * eps if j == 2 else hj for j, hj in enumerate(spacing)]
     V = np.empty((2**dim, dim))
     for k, corner in enumerate(itertools.product((0, 1), repeat=dim)):
         for j in range(dim):
@@ -212,6 +225,7 @@ def shape_gradients(grid, eps=1.0, point=None):
             for i, (bit, t) in enumerate(zip(corner, point)):
                 v = v * (2 * bit - 1) / h[i] if i == j else v * _lin(t, bit)
             V[k, j] = v
+    V.flags.writeable = False
     return V
 
 

@@ -79,15 +79,11 @@ def _matrix3(section, key, name):
     value = section.get(key)
     if value is None:
         return np.zeros((3, 3))
-    try:
-        M = np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError):
+    rows = value if isinstance(value, (list, tuple)) else ()
+    if len(rows) != 3 or not all(isinstance(row, (list, tuple)) and len(row) == 3 for row in rows):
         raise ConfigError(f"'{name}.{key}' must be a 3x3 numeric array")
-    if M.shape != (3, 3):
-        raise ConfigError(f"'{name}.{key}' must be a 3x3 numeric array")
-    if not np.all(np.isfinite(M)):
-        raise ConfigError(f"'{name}.{key}' entries must be finite")
-    return M
+    # each entry goes through _num, so strings and booleans are rejected as for any other number
+    return np.array([[_num(dict(enumerate(row)), j, None, f"{name}.{key}.{i}") for j in range(3)] for i, row in enumerate(rows)])
 
 
 class RunConfig:
@@ -336,15 +332,18 @@ def solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-10, grad_tol=1e-7
     for _ in range(int(max_iters)):
         system = electro3d.assemble_poisson3(y, grid, eps, mat)
         phi = electro3d.solve_potential3(system, tol=poisson_tol, x0=phi)
-        pg0 = electro3d.check_pg0(y, phi, grid, eps, mat)
-        # F_eps = M_eps - E_eps with M_eps independent of phi: the phi-side
-        # evaluations reuse one M_eps per iterate (y is always feasible here)
+        # F_eps = M_eps - E_eps with M_eps and the dielectric y-factors
+        # independent of phi: the phi-side evaluations reuse one M_eps and one
+        # dielectric_parts per iterate (y is always feasible here)
+        parts = electro3d.dielectric_parts(y, grid, eps, mat)
+        quad, moment = parts(phi)
+        pg0 = electro3d.weak_form_residual(quad, moment, mat.coupling)
         m_y = elastic3d.M_eps(y, grid, eps, mat)
 
         def F_frozen_y(_y, p):
-            return m_y - electro3d.E_eps(y, p, grid, eps, mat)
+            return m_y - electro3d.electrostatic_energy(*parts(p), mat.coupling)
 
-        f_phi = F_frozen_y(y, phi)
+        f_phi = m_y - electro3d.electrostatic_energy(quad, moment, mat.coupling)
         probe = saddle_probe(F_frozen_y, (y, phi), n_probes=probe_count, radius=probe_radius, rng=rng, sides=("phi",))
         g = elastic3d.grad_y_F_eps(y, phi, grid, eps, mat)
         gnorm = float(np.linalg.norm(g))

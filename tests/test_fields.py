@@ -127,6 +127,29 @@ def test_gauss_points():
         assert np.max(np.abs(mean - fields.shape_gradients(g))) < 1e-12
 
 
+def test_shape_gradients_cached_read_only_per_eps():
+    for make in (lambda: Grid2(5, 4), lambda: Grid3(5, 4, 3)):
+        g = make()
+        pt = fields.gauss_points(len(g.shape))[-1]
+        cached = {}
+        for eps in (1.0, 0.25):
+            V = fields.shape_gradients(g, eps, pt)
+            assert fields.shape_gradients(g, eps, pt) is V
+            assert V.tobytes() == fields.shape_gradients(make(), eps, pt).tobytes()
+            assert not V.flags.writeable
+            with pytest.raises(ValueError):
+                V[0, 0] = 0.0
+            cached[eps] = V
+        a, b = cached[1.0], cached[0.25]
+        # only a Grid3 has an x3 column to scale by 1/eps
+        assert np.array_equal(a[:, :2], b[:, :2])
+        if isinstance(g, Grid3):
+            assert not np.array_equal(a, b)
+            assert np.max(np.abs(b[:, 2] - 4.0 * a[:, 2])) <= 1e-12
+        else:
+            assert np.array_equal(a, b)
+
+
 def test_grid2_and_gradient2_adjoint():
     g = Grid2(6, 5)
     rng = np.random.default_rng(6)

@@ -71,6 +71,9 @@ def test_config_defaults():
         {"output": {"dir": 7}},
         {"eps": ["0.25", 0.1, 0.05]},
         {"eps": [True]},
+        {"permittivity": {"k": [[1, 0, 0], [0, 1, 0], [0, 0, "4"]]}},
+        {"permittivity": {"k": [[True, False, False], [False, True, False], [False, False, True]]}},
+        {"prestrain": {"B1": [["0.5", 0, 0], [0, 0, 0], [0, 0, 0]]}},
     ],
 )
 def test_config_rejections(data):
@@ -235,6 +238,22 @@ def test_solve3d_first_row_matches_full_F_eps():
         sides=("phi",),
     )
     assert history[0, 5] == probe["phi_side"]
+
+
+def test_solve3d_first_row_pg0_matches_check_pg0():
+    # pg0 and f_phi share one dielectric_parts evaluation per iterate; the
+    # residual must be bit-identical to a full check_pg0 call
+    from thinvolt import electro3d, fields
+    from thinvolt.elastic3d import flat_deformation
+
+    grid = Grid3(5, 5, 4)
+    eps = 0.25
+    mat = Material()
+    y_init = flat_deformation(grid, eps)
+    _, _, history, _ = solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-11, max_iters=1)
+    y0 = fields.zero_mean_project(y_init, grid)
+    phi1 = electro3d.solve_potential3(electro3d.assemble_poisson3(y0, grid, eps, mat), tol=1e-11)
+    assert history[0, 4] == electro3d.check_pg0(y0, phi1, grid, eps, mat)
 
 
 def test_solve3d_termination_reasons():
