@@ -11,6 +11,7 @@ charge_load are dimension-generic; the 2D midsurface potential of bending2d
 is built from them too.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -30,13 +31,35 @@ def _orientation_check(F, grid):
         raise ValueError(f"deformation not orientation-preserving at cell {cell}")
 
 
+def _stencil(Kloc, grid):
+    """Nodal stencil of the assembled operator, keyed by neighbour offset.
+
+    Maps each offset o in {-1, 0, 1}^dim that is non-negative in
+    lexicographic order to the nodal array S_o with K[n, n + o] = S_o[n];
+    S_o is zero where n + o falls off the grid. K is symmetric, so the
+    offset -o needs no array of its own: K[n + o, n] = S_o[n].
+    """
+    dim = len(grid.shape)
+    corners = list(itertools.product((0, 1), repeat=dim))
+    stencil = {}
+    for a, ca in enumerate(corners):
+        cells = tuple(slice(p, n - 1 + p) for p, n in zip(ca, grid.shape))
+        for b, cb in enumerate(corners):
+            o = tuple(q - p for p, q in zip(ca, cb))
+            if o >= (0,) * dim:
+                stencil.setdefault(o, np.zeros(grid.shape))[cells] += Kloc[..., a, b]
+    return dict(sorted(stencil.items()))
+
+
 class PoissonSystem:
     """Assembled Q1 operator and load of a pure-Neumann potential problem.
 
     Serves the 3D plate (Grid3, x3 derivatives scaled by 1/eps) and the 2D
     midsurface (Grid2) alike. coef is the cellwise-constant coefficient and
     load the nodal charge load; the gauge weights are the normalized
-    trapezoid weights.
+    trapezoid weights. The operator is applied as its assembled stencil:
+    in C-ordered flat node indexing each offset is a fixed shift, so an
+    apply is one multiply-add per direction of every stored offset.
     """
 
     def __init__(self, grid, coef, load, eps=1.0):
@@ -44,7 +67,14 @@ class PoissonSystem:
         self.eps = eps
         self.coef = coef
         self.Kloc = fields.local_stiffness(coef, grid, eps)
-        self.diag = fields.corner_scatter(np.einsum("...aa->...a", self.Kloc), grid)
+        self.stencil = _stencil(self.Kloc, grid)
+        self.diag = self.stencil[(0,) * len(grid.shape)]
+        strides = [math.prod(grid.shape[k + 1 :]) for k in range(len(grid.shape))]
+        self._shifts = []
+        for o, S in self.stencil.items():
+            d = sum(ok * sk for ok, sk in zip(o, strides))
+            if d:
+                self._shifts.append((d, S.ravel()[: S.size - d]))
         # compatibility shift: the kernel is the constants, so the load must
         # have zero sum; the shift is spread with the gauge weights
         self.b_raw = load
@@ -53,8 +83,12 @@ class PoissonSystem:
 
     def apply(self, phi):
         """Operator application on a nodal array (not flattened)."""
-        U = fields.corner_gather(phi, self.grid)
-        return fields.corner_scatter(np.einsum("...ab,...b->...a", self.Kloc, U), self.grid)
+        x = np.ravel(phi)
+        y = self.diag.ravel() * x
+        for d, s in self._shifts:
+            y[:-d] += s * x[d:]
+            y[d:] += s * x[:-d]
+        return y.reshape(self.grid.shape)
 
     def matvec(self, x):
         return self.apply(x.reshape(self.grid.shape)).ravel()
@@ -77,22 +111,10 @@ class PoissonSystem3(PoissonSystem):
 
     def __init__(self, grid, coef, load, eps):
         super().__init__(grid, coef, load, eps)
-        self.line_offdiag = self._line_offdiagonal()
+        # K[(i, j, l), (i, j, l + 1)]: Q1 nodes couple along x3 only to
+        # l +- 1, so with diag this fixes the tridiagonal x3 column blocks
+        self.line_offdiag = self.stencil[(0, 0, 1)][:, :, :-1]
         self._line_factors = self._factor_lines()
-
-    def _line_offdiagonal(self):
-        """K[(i, j, l), (i, j, l + 1)] as an (n1, n2, n3 - 1) array.
-
-        Q1 nodes (i, j, l) couple along x3 only to (i, j, l +- 1), so with
-        diag this fixes each x3 column block of K, which is tridiagonal.
-        """
-        n1, n2, n3 = self.grid.shape
-        off = np.zeros((n1, n2, n3 - 1))
-        for a in (0, 1):
-            for b in (0, 1):
-                k = 4 * a + 2 * b  # corner (a, b, 0); k + 1 is (a, b, 1)
-                off[a : n1 - 1 + a, b : n2 - 1 + b] += self.Kloc[..., k, k + 1]
-        return off
 
     def _factor_lines(self):
         """Thomas factors of the x3 column blocks, line index first.

@@ -234,16 +234,29 @@ def gauss_points(dim):
     return list(itertools.product((_GAUSS_LO, _GAUSS_HI), repeat=dim))
 
 
-def local_stiffness(coef, grid, eps=1.0):
-    """Per-cell Q1 stiffness for a cellwise-constant coefficient (tensor Gauss rule)."""
+def _stiffness_table(grid, eps):
     dim = len(grid.shape)
     w = math.prod(grid.spacing) / 2**dim
-    K = None
+    T = np.zeros((dim, dim, 2**dim, 2**dim))
     for pt in gauss_points(dim):
         V = shape_gradients(grid, eps, pt)
-        contrib = w * np.einsum("ai,...ij,bj->...ab", V, coef, V, optimize=True)
-        K = contrib if K is None else K + contrib
-    return K
+        T += w * np.einsum("ai,bj->ijab", V, V)
+    T = T.reshape(dim * dim, 4**dim)
+    T.flags.writeable = False
+    return T
+
+
+def local_stiffness(coef, grid, eps=1.0):
+    """Per-cell Q1 stiffness for a cellwise-constant coefficient (tensor Gauss rule).
+
+    The Gauss rule is summed once per grid and eps into a read-only
+    (dim^2, 4^dim) table T[(i, j), (a, b)] = sum_g w V_g[a, i] V_g[b, j]; the
+    coefficient is contracted against it in one matmul.
+    """
+    dim = len(grid.shape)
+    T = grid._cached(("stiffness_table", eps), lambda: _stiffness_table(grid, eps))
+    K = np.reshape(coef, (-1, dim * dim)) @ T
+    return K.reshape(grid.cshape + (2**dim, 2**dim))
 
 
 def gradient_second_moments(phi, grid, eps=1.0):

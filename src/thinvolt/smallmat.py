@@ -83,10 +83,10 @@ def sym_part(M):
 def nearest_rotation(F, tol=1e-13, max_iter=50):
     """Rotation factor of the polar decomposition of F, for det F > 0.
 
-    Newton iteration X <- (X + X^{-T}) / 2, started at F. Converges
-    quadratically to the orthogonal polar factor for any invertible F;
-    orientation is preserved, so det F > 0 is required for a rotation.
-    Batched over leading axes.
+    Newton iteration X <- (X + X^{-T}) / 2, started at F, with
+    X^{-T} = Cof(X) / det(X). Converges quadratically to the orthogonal
+    polar factor for any invertible F; orientation is preserved, so
+    det F > 0 is required for a rotation. Batched over leading axes.
     """
     F = _check_square(F, 3, "F")
     d = det3(F)
@@ -94,7 +94,7 @@ def nearest_rotation(F, tol=1e-13, max_iter=50):
         raise ValueError("nearest_rotation: det F must be positive")
     X = F.copy()
     for _ in range(max_iter):
-        Xn = 0.5 * (X + np.swapaxes(np.linalg.inv(X), -1, -2))
+        Xn = 0.5 * (X + cofactor3(X) / det3(X)[..., None, None])
         delta = np.max(np.abs(Xn - X))
         X = Xn
         if delta <= tol * max(1.0, np.max(np.abs(X))):

@@ -1,3 +1,4 @@
+import itertools
 import os
 
 import numpy as np
@@ -7,11 +8,12 @@ from thinvolt import fields
 from thinvolt.cg import SolverError, pcg
 from thinvolt.electro3d import (
     E_eps,
+    PoissonSystem,
     assemble_poisson3,
     check_pg0,
     solve_potential3,
 )
-from thinvolt.fields import Grid3
+from thinvolt.fields import Grid2, Grid3
 from thinvolt.harness import RunConfig
 from thinvolt.material import (
     ChargeModel,
@@ -163,6 +165,33 @@ def test_operator_kernel_and_symmetry():
         z = rng.standard_normal(ones.size)
         assert abs(x @ system.matvec(z) - z @ system.matvec(x)) < 1e-11 * scale
     assert np.all(system.diag > 0.0)
+
+
+def _cell_einsum_apply(Kloc, phi, grid):
+    # per-cell dense apply: gather each cell's corner values, multiply by its
+    # local stiffness and add the products back into the corner nodes
+    corners = itertools.product((0, 1), repeat=len(grid.shape))
+    cells = [tuple(slice(c, n - 1 + c) for c, n in zip(corner, grid.shape)) for corner in corners]
+    KU = np.einsum("...ab,...b->...a", Kloc, np.stack([phi[c] for c in cells], axis=-1))
+    out = np.zeros(grid.shape)
+    for a, c in enumerate(cells):
+        out[c] += KU[..., a]
+    return out
+
+
+@pytest.mark.parametrize("grid", [Grid2(7, 5), Grid3(5, 4, 6)], ids=["grid2", "grid3"])
+def test_stencil_apply_matches_cell_einsum_for_varying_coefficient(grid):
+    # a coefficient that differs from cell to cell, with off-diagonal
+    # entries: a stencil array shifted by one node changes the result
+    dim = len(grid.shape)
+    rng = np.random.default_rng(41)
+    B = rng.standard_normal(grid.cshape + (dim, dim))
+    coef = B @ np.swapaxes(B, -1, -2) + 0.5 * np.eye(dim)
+    system = PoissonSystem(grid, coef, np.zeros(grid.shape), eps=0.1)
+    for _ in range(5):
+        phi = rng.standard_normal(grid.shape)
+        want = _cell_einsum_apply(system.Kloc, phi, grid)
+        assert np.max(np.abs(system.apply(phi) - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_charge_load_compatibility_shift():

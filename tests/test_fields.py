@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,24 @@ def test_shape_gradients_cached_read_only_per_eps():
             assert np.max(np.abs(b[:, 2] - 4.0 * a[:, 2])) <= 1e-12
         else:
             assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("grid", [Grid2(7, 5), Grid3(5, 4, 6)], ids=["grid2", "grid3"])
+def test_local_stiffness_matches_gauss_point_sum(grid):
+    # a coefficient that differs from cell to cell, with off-diagonal entries
+    dim = len(grid.shape)
+    eps = 0.1
+    rng = np.random.default_rng(42)
+    B = rng.standard_normal(grid.cshape + (dim, dim))
+    coef = B @ np.swapaxes(B, -1, -2) + 0.5 * np.eye(dim)
+    w = math.prod(grid.spacing) / 2**dim
+    want = np.zeros(grid.cshape + (2**dim, 2**dim))
+    for pt in fields.gauss_points(dim):
+        V = fields.shape_gradients(grid, eps, pt)
+        want += w * np.einsum("ai,...ij,bj->...ab", V, coef, V)
+    got = fields.local_stiffness(coef, grid, eps)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_grid2_and_gradient2_adjoint():

@@ -73,6 +73,19 @@ def test_nearest_rotation_matches_svd():
         assert abs(det3(R) - 1.0) <= 1e-12
 
 
+def test_nearest_rotation_batched():
+    rng = np.random.default_rng(12)
+    F = np.eye(3) + 0.3 * rng.standard_normal((40, 3, 3))
+    assert np.all(det3(F) > 0.0)
+    R = nearest_rotation(F)
+    assert R.shape == F.shape
+    for Fi, Ri in zip(F, R):
+        assert np.max(np.abs(Ri - nearest_rotation(Fi))) <= 1e-14
+        U, _, Vt = np.linalg.svd(Fi)
+        assert np.max(np.abs(Ri - U @ Vt)) <= 1e-12
+    assert np.max(np.abs(np.swapaxes(R, -1, -2) @ R - np.eye(3))) <= 1e-12
+
+
 def test_dist_SO3_sq_oracle():
     # sum_i (sigma_i - 1)^2 against numpy SVD; the same formula is the
     # documented fallback for det <= 0 (orientation ignored there)
