@@ -11,8 +11,8 @@ quadratic terms, center-rule charge).
 
 import numpy as np
 
-from . import fields
-from .electro3d import PoissonSystem, charge_load, electrostatic_energy, weak_form_residual
+from . import fields, optimize
+from .electro3d import PoissonSystem, charge_load, electrostatic_energy, energy_parts, weak_form_residual
 from .relaxation import RelaxedQ2, effective_permittivity
 
 __all__ = [
@@ -83,9 +83,6 @@ class CylindricalIsometry:
         R[..., 2, 2] = np.cos(th)
         return R
 
-    def frame_nodes(self):
-        return self.frame_of(self.theta)
-
     def frame_cells(self):
         return self.frame_of(self.theta_cells())
 
@@ -137,10 +134,7 @@ def grad_M0_theta(y0, rq):
     a, b, _ = _curvature_polynomial(rq)
     kap = y0.curvature_cells()
     cellwise = 0.5 * (2.0 * a * kap + b)
-    g = np.zeros_like(y0.theta)
-    g[1:] += cellwise
-    g[:-1] -= cellwise
-    return g
+    return -np.diff(cellwise, prepend=0.0, append=0.0)  # D^T cellwise
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +171,10 @@ def keff_and_derivative(theta, k):
     return keff, dkeff
 
 
-def _keff_cells(y0, mat):
-    kbar = mat.permittivity.kbar()
-    _, keff = effective_permittivity(kbar, y0.frame_cells())
-    return keff  # (nc1, 2, 2)
+def _potential_coefficients(y0, mat):
+    """Cellwise reduced permittivity (broadcast over x2) and charge density."""
+    _, keff = effective_permittivity(mat.permittivity.kbar(), y0.frame_cells())
+    return np.broadcast_to(keff[:, None], y0.grid.cshape + (2, 2)), mat.charge.nbar(y0.grid.c1)[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +182,9 @@ def _keff_cells(y0, mat):
 
 
 def assemble_poisson2(y0, mat):
-    grid = y0.grid
-    keff = _keff_cells(y0, mat)
-    coef = mat.coupling.beta * np.broadcast_to(keff[:, None], grid.cshape + (2, 2))
-    load = charge_load(mat.charge.nbar(grid.c1)[:, None], grid, mat.coupling.gamma)
-    return PoissonSystem(grid, coef, load)
+    keff, density = _potential_coefficients(y0, mat)
+    load = charge_load(density, y0.grid, mat.coupling.gamma)
+    return PoissonSystem(y0.grid, mat.coupling.beta * keff, load)
 
 
 def solve_potential2(y0, mat, tol=1e-10, max_iter=None):
@@ -204,20 +196,10 @@ def solve_potential2(y0, mat, tol=1e-10, max_iter=None):
 # energies
 
 
-def _energy_parts2(y0, phi, mat):
-    grid = y0.grid
-    keff = _keff_cells(y0, mat)
-    G2 = fields.gradient_second_moments(phi, grid).sum(axis=1)  # x2-summed per x1-cell
-    quad = float(np.einsum("cij,cji->", keff, G2))
-    U = fields.corner_gather(np.asarray(phi, dtype=float), grid)
-    nb = mat.charge.nbar(grid.c1)[:, None]
-    moment = grid.cell_area * float(np.sum(nb * U.mean(axis=2)))
-    return quad, moment
-
-
 def E0(y0, phi, mat):
     """Effective electrostatic energy (beta/2) int Keff grad'phi . grad'phi - gamma int nbar phi."""
-    return electrostatic_energy(*_energy_parts2(y0, phi, mat), mat.coupling)
+    parts = energy_parts(*_potential_coefficients(y0, mat), y0.grid)
+    return electrostatic_energy(*parts(phi), mat.coupling)
 
 
 def F0(y0, phi, mat, rq=None):
@@ -229,91 +211,71 @@ def F0(y0, phi, mat, rq=None):
 
 def check_virial(y0, phi, mat):
     """Relative residual of the weak-form identity at a solved potential."""
-    return weak_form_residual(*_energy_parts2(y0, phi, mat), mat.coupling)
+    parts = energy_parts(*_potential_coefficients(y0, mat), y0.grid)
+    return weak_form_residual(*parts(phi), mat.coupling)
 
 
 # ---------------------------------------------------------------------------
-# alternating saddle iteration
+# saddle point as a minimizer of the reduced functional
 
 
-def _theta_objective_and_grad(theta, grid, mat, rq, G2x1):
-    """J(theta) = M0 - (beta/2) sum_c tr(Keff(theta_c) G2x1[c]) and its gradient."""
-    y0 = CylindricalIsometry(grid, theta)
-    tc = y0.theta_cells()
-    keff, dkeff = keff_and_derivative(tc, mat.permittivity.kbar())
-    quad = float(np.einsum("cij,cji->", keff, G2x1))
-    J = M0(y0, rq) - 0.5 * mat.coupling.beta * quad
-    g = grad_M0_theta(y0, rq)
+def _theta_gradient(y0, phi, mat, rq):
+    """Angle gradient of F0 at the frozen potential phi.
+
+    grad M0 - (beta/2) d/dtheta sum_c tr(Keff(theta_c) G2x1[c]), with G2x1
+    the x2-summed gradient second moments of phi per x1-cell.
+    """
+    G2x1 = fields.gradient_second_moments(phi, y0.grid).sum(axis=1)
+    _, dkeff = keff_and_derivative(y0.theta_cells(), mat.permittivity.kbar())
     dq = 0.5 * mat.coupling.beta * np.einsum("cij,cji->c", dkeff, G2x1)
+    g = grad_M0_theta(y0, rq)
     g[1:] -= 0.5 * dq
     g[:-1] -= 0.5 * dq
-    return J, g
+    return g
 
 
 def _bending_hessian(grid, rq):
-    """Exact Hessian of M0 in the nodal angles: (a/h1) * second-difference matrix."""
+    """Exact Hessian of M0 in the nodal angles: (a/h1) D^T D, D the cell difference matrix."""
     a, _, _ = _curvature_polynomial(rq)
-    n = grid.n1
-    T = np.zeros((n, n))
-    idx = np.arange(n - 1)
-    T[idx, idx] += 1.0
-    T[idx + 1, idx + 1] += 1.0
-    T[idx, idx + 1] -= 1.0
-    T[idx + 1, idx] -= 1.0
-    return (a / grid.h1) * T
+    D = np.diff(np.eye(grid.n1), axis=0)
+    return (a / grid.h1) * (D.T @ D)
 
 
 def saddle_iterate_2d(theta0, grid, mat, iters=200, tol=1e-8, rq=None, solver_tol=1e-12):
-    """Alternate an exact potential solve with a descent step in the angle profile.
+    """Find a saddle point of F0 by L-BFGS on the reduced functional.
 
-    The potential step maximizes the total energy over phi (it minimizes the
-    concave-side objective exactly); the angle step takes one damped Newton
-    step on theta at frozen phi, preconditioned by the exact bending Hessian
-    plus an adaptive ridge, with Armijo backtracking. Returns
-    (y0, phi, history, converged) where history rows hold
-    (F0 after the phi-step, F0 after the theta-step, gradient norm, step size).
+    f(theta) = max_phi F0(theta, phi) is F0 at the solved potential: one
+    potential solve per evaluation. By Danskin's theorem its gradient is the
+    frozen-potential angle gradient at that solve. The metric is
+    (H + c 11^T / n1)^-1, H the exact bending Hessian; c fills only its
+    constant (rigid-rotation) null mode. iters caps the gradient evaluations.
+
+    Returns (y0, phi, history, converged), one history row per gradient
+    evaluation: (f at the iterate, f at the next iterate, gradient norm,
+    accepted step); the last row is (f, f, gradient norm, 0).
     """
     if rq is None:
         rq = RelaxedQ2.of(mat)
-    theta = np.asarray(theta0, dtype=float).copy()
+    last = {}
+
+    def solved(theta):
+        if "y0" not in last or not np.array_equal(last["y0"].theta, theta):
+            y0 = CylindricalIsometry(grid, theta)
+            last.update(y0=y0, phi=solve_potential2(y0, mat, tol=solver_tol))
+        return last["y0"], last["phi"]
+
     H = _bending_hessian(grid, rq)
-    scale = max(np.abs(np.diag(H)).max(), 1.0)
-    ridge = 1e-2 * scale
-    eye = np.eye(grid.n1)
-    history = []
-    converged = False
-    phi = None
-    for _ in range(iters):
-        y0 = CylindricalIsometry(grid, theta)
-        phi = solve_potential2(y0, mat, tol=solver_tol)
-        f_after_phi = F0(y0, phi, mat, rq)
-        G2x1 = fields.gradient_second_moments(phi, grid).sum(axis=1)
-        J, g = _theta_objective_and_grad(theta, grid, mat, rq, G2x1)
-        gnorm = float(np.linalg.norm(g))
-        if gnorm <= tol:
-            history.append((f_after_phi, f_after_phi, gnorm, 0.0))
-            converged = True
-            break
-        d = np.linalg.solve(H + ridge * eye, -g)
-        slope = -float(g @ d)
-        step = 1.0
-        accepted = False
-        for _ in range(60):
-            cand = theta + step * d
-            Jc, _ = _theta_objective_and_grad(cand, grid, mat, rq, G2x1)
-            if Jc <= J - 1e-4 * step * slope:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            history.append((f_after_phi, f_after_phi, gnorm, 0.0))
-            break
-        ridge = ridge * 0.25 if step == 1.0 else ridge * 4.0
-        ridge = min(max(ridge, 1e-12 * scale), 1e12 * scale)
-        theta = cand
-        y0 = CylindricalIsometry(grid, theta)
-        f_after_theta = F0(y0, phi, mat, rq)
-        history.append((f_after_phi, f_after_theta, gnorm, step))
-    y0 = CylindricalIsometry(grid, theta)
-    phi = solve_potential2(y0, mat, tol=solver_tol)
-    return y0, phi, np.array(history), converged
+    c = 1e-2 * max(np.abs(np.diag(H)).max(), 1.0)
+    inv_metric = np.linalg.inv(H + c / grid.n1)  # adds c 11^T / n1
+    theta, info = optimize.lbfgs(
+        lambda th: F0(*solved(th), mat, rq),
+        lambda th: _theta_gradient(*solved(th), mat, rq),
+        theta0,
+        lambda v: inv_metric @ v,
+        max_iter=iters,
+        grad_tol=tol,
+    )
+    f = info["objectives"] + [info["objective"]]
+    history = list(zip(f[:-1], f[1:], info["grad_norms"], info["steps"] + [0.0]))
+    y0, phi = solved(theta)
+    return y0, phi, np.array(history), info["converged"]

@@ -21,7 +21,7 @@ from .cg import SolverError, pcg
 from .material import kappa_pullback
 from .smallmat import det3
 
-__all__ = ["PoissonSystem", "PoissonSystem3", "charge_load", "assemble_poisson3", "solve_potential3", "dielectric_parts", "electrostatic_energy", "weak_form_residual", "E_eps", "check_pg0", "SolverError"]
+__all__ = ["PoissonSystem", "PoissonSystem3", "charge_load", "assemble_poisson3", "solve_potential3", "energy_parts", "dielectric_parts", "electrostatic_energy", "weak_form_residual", "E_eps", "check_pg0", "SolverError"]
 
 
 def _orientation_check(F, grid):
@@ -92,11 +92,6 @@ class PoissonSystem:
 
     def matvec(self, x):
         return self.apply(x.reshape(self.grid.shape)).ravel()
-
-    def energy_quadratic(self, phi):
-        """(1/2) phi^T K phi, identical quadrature to the assembled operator."""
-        U = fields.corner_gather(phi, self.grid)
-        return 0.5 * float(np.sum(np.einsum("...a,...ab,...b->...", U, self.Kloc, U)))
 
     def solve(self, tol=1e-10, x0=None, max_iter=None, precond=None):
         """Projected PCG solve, Jacobi unless precond is given; the potential with weighted zero mean."""
@@ -179,27 +174,29 @@ def solve_potential3(system, tol=1e-10, x0=None, max_iter=None):
     return system.solve(tol=tol, x0=x0, max_iter=max_iter, precond=system.precondition)
 
 
-def dielectric_parts(y, grid, eps, mat):
-    """Dielectric quadratic term and charge moment as a function of the potential.
+def energy_parts(kappa, density, grid, eps=1.0):
+    """Dielectric quadratic term and charge moment as a function of the potential, in 2D and 3D.
 
-    The deformation-only factors (scaled gradient, orientation check,
-    permittivity pullback, charge density) are computed here once; the
-    returned callable maps phi to (quad, moment) with the assembly
-    quadratures, so every potential at a fixed y reuses them.
+    kappa is the cellwise permittivity and density the cellwise charge density
+    (broadcastable to grid.cshape); the callable maps phi to (quad, moment)
+    with the assembly quadratures, reusing the coefficients for every phi.
     """
+    measure = math.prod(grid.spacing)
+
+    def parts(phi):
+        quad = float(np.sum(kappa * fields.gradient_second_moments(phi, grid, eps)))
+        phibar = fields.corner_gather(phi, grid).mean(axis=-1)
+        return quad, measure * float(np.sum(density * phibar))
+
+    return parts
+
+
+def dielectric_parts(y, grid, eps, mat):
+    """energy_parts at the deformation y: scaled gradient, orientation check and pullback run once."""
     F = fields.scaled_gradient(y, grid, eps)
     _orientation_check(F, grid)
     kappa = kappa_pullback(F, mat.permittivity.k)
-    nc = mat.charge.n_ch(grid.c1)[:, None, None]
-
-    def parts(phi):
-        G2 = fields.gradient_second_moments(phi, grid, eps)
-        quad = float(np.sum(kappa * G2))
-        phibar = fields.corner_gather(phi, grid).mean(axis=3)
-        moment = grid.cell_volume * float(np.sum(nc * phibar))
-        return quad, moment
-
-    return parts
+    return energy_parts(kappa, mat.charge.n_ch(grid.c1)[:, None, None], grid, eps)
 
 
 def electrostatic_energy(quad, moment, coupling):

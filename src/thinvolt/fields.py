@@ -7,8 +7,6 @@ Conventions used throughout the package:
   have shape (n1, n2, n3); nodal vector fields append a component axis.
   2D fields live on the unit square with shape (n1, n2).
 * Cell quantities live at the (n1-1, n2-1, n3-1) cell centers.
-* Serialization flattens nodes in C order, so x3 varies fastest, then x2,
-  then x1. Vector components are separate columns.
 * A "scaled" gradient or Hessian multiplies every x3 derivative by 1/eps.
 
 One dimension-generic Q1 kernel (corner gather/scatter, shape gradients,
@@ -47,8 +45,6 @@ __all__ = [
     "integrate3",
     "zero_mean_project",
     "node_mean",
-    "save_field_csv",
-    "load_field_csv",
 ]
 
 _GAUSS_LO = 0.5 - 0.5 / np.sqrt(3.0)
@@ -399,25 +395,3 @@ def zero_mean_project(f, grid):
     """Subtract the volume-weighted mean from a nodal field (idempotent)."""
     return np.asarray(f, dtype=float) - node_mean(f, grid)
 
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def save_field_csv(path, f, grid):
-    """Write a nodal field as CSV, one node per row, x3 fastest, then x2, then x1.
-
-    Vector fields get one column per component. Full double precision.
-    """
-    f = np.asarray(f, dtype=float)
-    ncomp = 1 if f.ndim == len(grid.shape) else f.shape[-1]
-    flat = f.reshape(-1, ncomp)
-    header = ",".join(f"c{k}" for k in range(ncomp))
-    np.savetxt(path, flat, delimiter=",", header=header, comments="", fmt="%.17g")
-
-
-def load_field_csv(path, grid, ncomp=1):
-    flat = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if ncomp == 1:
-        return flat.reshape(grid.shape)
-    return flat.reshape(grid.shape + (ncomp,))

@@ -493,10 +493,13 @@ def _cmd_solve2d(cfg, out_dir):
 
     probes = saddle_probe(F, (y0.theta, phi), n_probes=50, radius=1e-3, rng=rng)
     virial = bending2d.check_virial(y0, phi, mat)
+    # one history row per gradient evaluation; the cap stops a run before its line search
+    termination = "converged" if converged else "max_iters" if len(history) == cfg.max_iters else "line_search"
     summary = {
         "mode": "solve2d",
         "seed": cfg.seed,
         "converged": bool(converged),
+        "termination": termination,
         "iterations": len(history),
         "F0": float(history[-1][1]),
         "virial": virial,

@@ -36,7 +36,6 @@ __all__ = [
     "H_hyper",
     "dH_hyper",
     "kappa_pullback",
-    "maxwell_stress",
     "maxwell_stress_moment",
 ]
 
@@ -321,14 +320,3 @@ def maxwell_stress_moment(F, k, G2):
     tr = np.einsum("ij,...ji->...", k, T)
     return T @ k @ Cof - 0.5 * tr[..., None, None] * Cof
 
-
-def maxwell_stress(F, k, gradphi):
-    """Electrostatic stress for a single referential potential gradient.
-
-    Equals maxwell_stress_moment with G2 = gradphi (x) gradphi; vanishes for
-    a zero gradient, and for F = I, k = I, gradphi = e3 it is
-    diag(-1/2, -1/2, 1/2).
-    """
-    g = np.asarray(gradphi, dtype=float)
-    G2 = g[..., :, None] * g[..., None, :]
-    return maxwell_stress_moment(F, k, G2)

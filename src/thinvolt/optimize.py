@@ -1,7 +1,7 @@
-"""Limited-memory BFGS with a diagonal metric and Armijo backtracking.
+"""Limited-memory BFGS with a metric and Armijo backtracking.
 
 The two-loop recursion (Nocedal, Math. Comp. 35, 1980; Liu & Nocedal,
-Math. Prog. 45, 1989) starts from a diagonal inverse metric M^-1 scaled by
+Math. Prog. 45, 1989) starts from an inverse metric M^-1 scaled by
 s.y / y.M^-1 y of the newest curvature pair, so a metric that matches the
 dominant part of the Hessian (a lumped mass, say) carries over into every
 step.
@@ -28,24 +28,24 @@ def _direction(g, pairs, inv_metric):
         alphas.append(a)
     if pairs:
         s, y, _ = pairs[-1]
-        gamma = np.vdot(s, y) / np.vdot(y, inv_metric * y)
+        gamma = np.vdot(s, y) / np.vdot(y, inv_metric(y))
     else:
         gamma = 1.0
-    r = gamma * inv_metric * q
+    r = gamma * inv_metric(q)
     for (s, y, rho), a in zip(pairs, reversed(alphas)):
         r += (a - rho * np.vdot(y, r)) * s
     return -r
 
 
 def _backtrack(fun, x, f, g, p):
-    """Armijo backtracking from the unit step; (x, f) accepted, or None."""
+    """Armijo backtracking from the unit step; (x, f, t) accepted, or None."""
     slope = float(np.vdot(g, p))
     t = 1.0
     for _ in range(MAX_BACKTRACKS):
         cand = x + t * p
         fc = float(fun(cand))
         if fc <= f + ARMIJO * t * slope:
-            return cand, fc
+            return cand, fc, t
         t *= 0.5
     return None
 
@@ -55,27 +55,32 @@ def lbfgs(fun, grad, x0, inv_metric, max_iter, grad_tol):
 
     grad is called once at the top of each iteration, so info["iters"] is
     the number of gradient calls. The loop stops when the Euclidean norm of
-    the gradient falls to grad_tol (converged), after max_iter gradient
-    calls, or when a line search fails both along the L-BFGS direction and,
-    with the memory dropped, along -M^-1 g. inv_metric is a positive array
-    that broadcasts against x. A non-finite trial objective is rejected.
+    the gradient falls to grad_tol ("converged"), after max_iter gradient
+    calls ("max_iters"), or when a line search fails both along the L-BFGS
+    direction and, with the memory dropped, along -M^-1 g ("line_search").
+    inv_metric is a callable v -> M^-1 v for a symmetric positive definite
+    M. A non-finite trial objective is rejected.
 
-    info: iters, grad_norm and objective at the returned x, converged, and
-    objectives, the accepted objective values starting with fun(x0).
+    info: iters, grad_norm and objective at the returned x, converged, stop
+    (the reason above), objectives (the accepted objective values starting
+    with fun(x0)), grad_norms (one per gradient call) and steps (the
+    accepted Armijo step of each iteration that moved).
     """
     x = np.array(x0, dtype=float)
     f = float(fun(x))
     objectives = [f]
+    grad_norms, steps = [], []
     pairs = deque(maxlen=MEMORY)
     x_prev = g_prev = None
     gnorm = np.inf
-    converged = False
+    stop = "max_iters"
     it = 0
     for it in range(1, int(max_iter) + 1):
         g = grad(x)
         gnorm = float(np.linalg.norm(g))
+        grad_norms.append(gnorm)
         if gnorm <= grad_tol:
-            converged = True
+            stop = "converged"
             break
         if it == max_iter:
             break
@@ -88,11 +93,14 @@ def lbfgs(fun, grad, x0, inv_metric, max_iter, grad_tol):
         step = _backtrack(fun, x, f, g, _direction(g, pairs, inv_metric))
         if step is None and pairs:
             pairs.clear()
-            step = _backtrack(fun, x, f, g, -inv_metric * g)
+            step = _backtrack(fun, x, f, g, -inv_metric(g))
         if step is None:
+            stop = "line_search"
             break
         x_prev, g_prev = x, g
-        x, f = step
+        x, f, t = step
         objectives.append(f)
-    info = {"iters": it, "grad_norm": gnorm, "objective": f, "converged": converged, "objectives": objectives}
+        steps.append(t)
+    info = {"iters": it, "grad_norm": gnorm, "objective": f, "converged": stop == "converged", "stop": stop}
+    info.update(objectives=objectives, grad_norms=grad_norms, steps=steps)
     return x, info

@@ -215,11 +215,12 @@ def mollify_field(d, grid, eps, tau=None, q_h=4.0, iters=500, grad_tol=1e-8):
     if d.ndim != 4 or d.shape[-1] != 3:
         raise ValueError("mollify_field expects a nodal (n1,n2,n3,3) field")
     wn = np.einsum("i,j,k->ijk", grid.w1, grid.w2, grid.w3)
+    inv_mass = 1.0 / wn[..., None]
     v, run = optimize.lbfgs(
         lambda u: mollifier_objective(u, d, grid, eps, tau, q_h),
         lambda u: _mollifier_gradient(u, d, grid, eps, tau, q_h),
         d,
-        1.0 / wn[..., None],
+        lambda u: inv_mass * u,
         max_iter=iters,
         grad_tol=grad_tol,
     )

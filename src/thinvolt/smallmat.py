@@ -8,7 +8,6 @@ Vectorization of a 3x3 matrix is row-major, vec(H)[3*i + j] = H[i, j].
 import numpy as np
 
 __all__ = [
-    "det2",
     "det3",
     "cofactor3",
     "inv3",
@@ -31,12 +30,6 @@ def _check_square(M, n, name="matrix"):
     if not np.all(np.isfinite(M)):
         raise ValueError(f"{name}: non-finite entries")
     return M
-
-
-def det2(M):
-    """Determinant of a 2x2 matrix (batched)."""
-    M = np.asarray(M, dtype=float)
-    return M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
 
 
 def det3(M):

@@ -43,7 +43,7 @@ def test_isometry_geometry_closed_form():
     grid = Grid2(33, 5)
     y0 = CylindricalIsometry(grid, grid.x1.copy())
     assert np.max(np.abs(y0.curvature_cells() - 1.0)) < 1e-12
-    R = y0.frame_nodes()
+    R = y0.frame_of(y0.theta)
     RtR = np.swapaxes(R, -1, -2) @ R
     assert np.max(np.abs(RtR - np.eye(3))) < 1e-14
     # unit-slope profile integrates to (sin x1, x2, cos x1 - 1), up to the gauge

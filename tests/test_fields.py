@@ -186,23 +186,3 @@ def test_gradient2_exact_on_bilinear():
     u = 3.0 * X1 - 2.0 * X2
     G = fields.scaled_gradient(u, g, 1.0)
     assert np.max(np.abs(G - np.array([3.0, -2.0]))) <= 1e-12
-
-
-def test_field_csv_roundtrip(tmp_path):
-    g = Grid3(4, 3, 5)
-    rng = np.random.default_rng(7)
-    y = rng.standard_normal(g.shape + (3,))
-    path = tmp_path / "field.csv"
-    fields.save_field_csv(str(path), y, g)
-    back = fields.load_field_csv(str(path), g, ncomp=3)
-    assert back.shape == y.shape
-    assert np.max(np.abs(back - y)) == 0.0  # 17 significant digits reproduce doubles
-
-
-def test_load_field_csv_shape_mismatch(tmp_path):
-    g = Grid3(4, 3, 5)
-    y = np.zeros(g.shape + (3,))
-    path = tmp_path / "field.csv"
-    fields.save_field_csv(str(path), y, g)
-    with pytest.raises(ValueError):
-        fields.load_field_csv(str(path), Grid3(5, 3, 5))

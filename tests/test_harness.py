@@ -396,25 +396,45 @@ def test_cli_check_roundtrip(tmp_path):
     assert cli_main(["check", "--config", cfgpath, "--out", str(out)]) == 2
 
 
-def test_cli_solve2d(tmp_path):
-    cfgpath = _write_config(
-        tmp_path / "cfg.json",
+def _solve2d_config(path, max_iters):
+    return _write_config(
+        path,
         extra={
             "grid": {"n1": 9, "n2": 9, "n3": 5, "n1_2d": 33, "n2_2d": 7},
             "isometry": {"kind": "linear", "slope": 0.3},
-            "solver": {"poisson_tol": 1e-12, "grad_tol": 1e-8, "max_iters": 200},
+            "solver": {"poisson_tol": 1e-12, "grad_tol": 1e-8, "max_iters": max_iters},
         },
     )
+
+
+def test_cli_solve2d(tmp_path):
+    cfgpath = _solve2d_config(tmp_path / "cfg.json", 200)
     out = str(tmp_path / "out")
     assert cli_main(["solve2d", "--config", cfgpath, "--out", out]) == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["pass"] and summary["converged"]
+    assert summary["termination"] == "converged"
     assert summary["virial"] <= 1e-7
     assert summary["phi_probe"] <= 1e-10
     assert summary["y_probe"] <= 1e-8
     hist = (tmp_path / "out" / "solve2d_history.csv").read_text().splitlines()
     assert hist[0] == "F_after_phi,F_after_theta,grad_norm,step"
     assert len(hist) >= 2
+    rows = np.loadtxt(hist[1:], delimiter=",", ndmin=2)
+    assert len(rows) == summary["iterations"]
+    # F_after_theta is f at the next iterate, which the next row starts from
+    assert np.array_equal(rows[1:, 0], rows[:-1, 1])
+    assert rows[-1, 3] == 0.0 and rows[-1, 0] == rows[-1, 1] == summary["F0"]
+
+
+def test_cli_solve2d_reports_iteration_cap(tmp_path):
+    cfgpath = _solve2d_config(tmp_path / "cfg.json", 1)
+    out = str(tmp_path / "out")
+    assert cli_main(["solve2d", "--config", cfgpath, "--out", out]) == 1
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert not summary["converged"]
+    assert summary["termination"] == "max_iters"
+    assert summary["iterations"] == 1
 
 
 def test_cli_solve3d(tmp_path):

@@ -31,8 +31,8 @@ def _quadratic(n=40, seed=3):
 def test_lbfgs_converges_on_metric_scaled_quadratic():
     fun, grad, inv_metric, x_star, calls = _quadratic()
     x0 = np.zeros_like(x_star)
-    x, info = lbfgs(fun, grad, x0, inv_metric, max_iter=500, grad_tol=1e-10)
-    assert info["converged"]
+    x, info = lbfgs(fun, grad, x0, lambda v: inv_metric * v, max_iter=500, grad_tol=1e-10)
+    assert info["converged"] and info["stop"] == "converged"
     assert info["grad_norm"] <= 1e-10
     assert info["grad_norm"] == np.linalg.norm(grad(x))
     assert calls["grad"] - 1 == info["iters"] < 500
@@ -42,19 +42,38 @@ def test_lbfgs_converges_on_metric_scaled_quadratic():
     assert objectives[0] == fun(x0) and objectives[-1] == info["objective"] == fun(x)
     assert all(b <= a for a, b in zip(objectives, objectives[1:]))
     assert len(objectives) == info["iters"]  # one accepted step per iteration but the last
+    assert len(info["grad_norms"]) == info["iters"] and info["grad_norms"][-1] == info["grad_norm"]
+    assert len(info["steps"]) == len(objectives) - 1
+    assert all(0.0 < t <= 1.0 for t in info["steps"])
     # the metric is what makes the budget suffice
-    _, plain = lbfgs(fun, grad, x0, np.ones_like(inv_metric), max_iter=500, grad_tol=1e-10)
+    _, plain = lbfgs(fun, grad, x0, lambda v: v, max_iter=500, grad_tol=1e-10)
     assert not plain["converged"]
+
+
+def test_lbfgs_dense_exact_inverse_hessian_metric_takes_one_newton_step():
+    fun, grad, _, x_star, calls = _quadratic()
+    x0 = np.zeros_like(x_star)
+    # the gradient is affine: its columns at the unit vectors give the Hessian
+    g0 = grad(x0).ravel()
+    units = np.eye(x0.size)
+    A = np.column_stack([grad(u.reshape(x0.shape)).ravel() - g0 for u in units])
+    A_inv = np.linalg.inv(0.5 * (A + A.T))
+    calls["grad"] = 0
+    x, info = lbfgs(fun, grad, x0, lambda v: (A_inv @ v.ravel()).reshape(v.shape), max_iter=50, grad_tol=1e-10)
+    assert info["converged"]
+    assert info["iters"] == calls["grad"] <= 2
+    assert info["steps"] == [1.0]
 
 
 def test_lbfgs_iteration_cap_reports_not_converged():
     fun, grad, inv_metric, x_star, calls = _quadratic()
-    x, info = lbfgs(fun, grad, np.zeros_like(x_star), inv_metric, max_iter=3, grad_tol=1e-10)
-    assert not info["converged"]
+    x, info = lbfgs(fun, grad, np.zeros_like(x_star), lambda v: inv_metric * v, max_iter=3, grad_tol=1e-10)
+    assert not info["converged"] and info["stop"] == "max_iters"
     assert info["iters"] == calls["grad"] == 3
     # the reported norm is the gradient at the returned point
     assert info["grad_norm"] == np.linalg.norm(grad(x)) > 1e-10
     assert len(info["objectives"]) == 3
+    assert len(info["grad_norms"]) == 3 and len(info["steps"]) == 2
 
 
 def test_lbfgs_stops_when_no_step_decreases():
@@ -64,11 +83,12 @@ def test_lbfgs_stops_when_no_step_decreases():
     def walled(x):
         return fun(x) if np.array_equal(x, x0) else np.inf
 
-    x, info = lbfgs(walled, grad, x0, inv_metric, max_iter=50, grad_tol=1e-10)
-    assert not info["converged"]
+    x, info = lbfgs(walled, grad, x0, lambda v: inv_metric * v, max_iter=50, grad_tol=1e-10)
+    assert not info["converged"] and info["stop"] == "line_search"
     assert info["iters"] == calls["grad"] == 1
     assert np.array_equal(x, x0)
     assert info["objectives"] == [fun(x0)]
+    assert len(info["grad_norms"]) == 1 and info["steps"] == []
 
 
 def test_lbfgs_falls_back_to_metric_gradient_step():
@@ -90,7 +110,7 @@ def test_lbfgs_falls_back_to_metric_gradient_step():
 
     x0 = np.zeros_like(x_star)
     last["x"], last["g"] = x0, grad(x0)
-    x, info = lbfgs(ray_only, tracked_grad, x0, inv_metric, max_iter=6, grad_tol=1e-10)
+    x, info = lbfgs(ray_only, tracked_grad, x0, lambda v: inv_metric * v, max_iter=6, grad_tol=1e-10)
     objectives = info["objectives"]
     assert len(objectives) == 6
     assert all(b < a for a, b in zip(objectives, objectives[1:]))

@@ -7,7 +7,6 @@ from thinvolt.smallmat import (
     QuadForm3,
     cholesky3,
     cofactor3,
-    det2,
     det3,
     dist_SO3_sq,
     inv3,
@@ -25,8 +24,6 @@ def test_det_and_inverse_against_numpy():
         assert abs(det3(M) - np.linalg.det(M)) <= 1e-12 * max(1.0, abs(np.linalg.det(M)))
         if abs(det3(M)) > 1e-6:
             assert np.allclose(inv3(M), np.linalg.inv(M), atol=1e-10)
-        A = rng.standard_normal((2, 2))
-        assert abs(det2(A) - np.linalg.det(A)) <= 1e-12 * max(1.0, abs(np.linalg.det(A)))
 
 
 def test_cofactor_identity():
