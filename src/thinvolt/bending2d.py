@@ -144,29 +144,26 @@ def grad_M0_theta(y0, rq):
 def keff_and_derivative(theta, k):
     """Reduced in-plane permittivity and its theta-derivative, batched.
 
-    Rotates k into the bending frame, reduces out the normal component by a
-    Schur complement, and differentiates the whole chain in theta. Returns
+    keff is effective_permittivity in the bending frame; the derivative
+    differentiates the rotation and the Schur complement in theta. Returns
     (keff, dkeff) with trailing shape (2, 2).
     """
     theta = np.asarray(theta, dtype=float)
     R = CylindricalIsometry.frame_of(theta)
+    (_, kv, kz), keff = effective_permittivity(k, R)
     dR = np.zeros_like(R)
     dR[..., 0, 0] = -np.sin(theta)
     dR[..., 2, 0] = -np.cos(theta)
     dR[..., 0, 2] = np.cos(theta)
     dR[..., 2, 2] = -np.sin(theta)
     k = np.asarray(k, dtype=float)
-    K = np.swapaxes(R, -1, -2) @ k @ R
     dK = np.swapaxes(dR, -1, -2) @ k @ R + np.swapaxes(R, -1, -2) @ k @ dR
-    kb, kv, kz = K[..., :2, :2], K[..., :2, 2], K[..., 2, 2]
     dkb, dkv, dkz = dK[..., :2, :2], dK[..., :2, 2], dK[..., 2, 2]
     kzi = 1.0 / kz[..., None, None]
-    outer = kv[..., :, None] * kv[..., None, :]
-    keff = kb - outer * kzi
     dkeff = (
         dkb
         - (dkv[..., :, None] * kv[..., None, :] + kv[..., :, None] * dkv[..., None, :]) * kzi
-        + outer * (dkz[..., None, None] * kzi * kzi)
+        + kv[..., :, None] * kv[..., None, :] * (dkz[..., None, None] * kzi * kzi)
     )
     return keff, dkeff
 

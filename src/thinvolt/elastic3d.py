@@ -13,12 +13,10 @@ derivatives of the discrete energies (verified against finite differences
 in the test-suite), so descent methods and optimality probes agree.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import electro3d, fields
-from .material import H_hyper, W_el, dH_hyper, dW_el, kappa_pullback, maxwell_stress_moment
+from .material import H_hyper, W_el, dH_hyper, dW_el, maxwell_stress_moment
 from .smallmat import det3, dist_SO3_sq, inv3
 
 __all__ = [
@@ -27,7 +25,6 @@ __all__ = [
     "grad_M_eps",
     "F_eps",
     "grad_y_F_eps",
-    "AprioriReport",
     "apriori_report",
 ]
 
@@ -48,7 +45,7 @@ _Z_GAUSS = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
 _W_GAUSS = (0.5, 0.5)
 
 
-def _prestrain_cells(grid, eps, mat, z=0.5):
+def _prestrain_cells(grid, eps, mat, z):
     """M = I + eps B at the local x3 coordinate z of every cell, with exact inverse."""
     t = grid.c3 + (z - 0.5) * grid.h3
     B = mat.prestrain.B(t)  # (nc3, 3, 3)
@@ -143,58 +140,14 @@ def grad_y_F_eps(y, phi, grid, eps, mat):
     return g - g.mean(axis=(0, 1, 2))
 
 
-@dataclass
-class AprioriReport:
-    """Compactness-style diagnostics of a deformation/potential pair at one eps."""
-
-    eps: float
-    dist2_so3: float
-    dist2_so3_prestrain: float
-    grad_qw_norm: float
-    det_inv_norm: float
-    weighted_flux: float
-    grad_phi_pw: float
-    p_w: float
-    min_det: float
-
-    def row(self):
-        return [
-            self.eps,
-            self.dist2_so3,
-            self.dist2_so3_prestrain,
-            self.grad_qw_norm,
-            self.det_inv_norm,
-            self.weighted_flux,
-            self.grad_phi_pw,
-            self.min_det,
-        ]
-
-
 def apriori_report(y, phi, grid, eps, mat):
-    """Scaling diagnostics: rigidity distances, growth norms, weighted flux."""
+    """A-priori scaling diagnostics: (int dist^2(grad_eps y, SO(3)), |grad_eps phi|_{L^p_W}, min det grad_eps y).
+
+    p_W is the conjugate exponent of the elastic growth exponent q_w.
+    """
     F = fields.scaled_gradient(y, grid, eps)
-    _, Minv, detM = _prestrain_cells(grid, eps, mat)
-    arg = F @ Minv
-    d = det3(F)
     dist2 = fields.integrate3(dist_SO3_sq(F), grid)
-    dist2_pre = fields.integrate3(dist_SO3_sq(arg) * detM, grid)
-    qw = mat.elastic.q_w
-    grad_qw = fields.integrate3(np.sum(F * F, axis=(-2, -1)) ** (qw / 2.0), grid)
-    darg = det3(arg)
-    det_inv = fields.integrate3(np.where(darg > 0, darg, np.nan) ** (-qw / 2.0), grid) if np.min(darg) > 0 else np.inf
-    # weighted flux and potential-gradient norm share the assembly quadratures
-    quad, _ = electro3d.dielectric_parts(y, grid, eps, mat)(phi)
     p_w = mat.elastic.conjugate_exponent()
     gp = fields.scaled_gradient(phi, grid, eps)
     gp_norm = fields.integrate3(np.sum(gp * gp, axis=-1) ** (p_w / 2.0), grid) ** (1.0 / p_w)
-    return AprioriReport(
-        eps=eps,
-        dist2_so3=dist2,
-        dist2_so3_prestrain=dist2_pre,
-        grad_qw_norm=grad_qw,
-        det_inv_norm=det_inv,
-        weighted_flux=quad,
-        grad_phi_pw=gp_norm,
-        p_w=p_w,
-        min_det=float(np.min(d)),
-    )
+    return dist2, gp_norm, float(np.min(det3(F)))

@@ -188,12 +188,12 @@ class RunConfig:
     @classmethod
     def from_file(cls, path):
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 data = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}")
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, nesting too deep
+            raise ConfigError(f"config is not valid UTF-8 JSON: {exc}")
         return cls(data)
 
     def grid3(self):
@@ -597,7 +597,10 @@ def cli_main(argv=None):
                 raise ConfigError("--seed must be nonnegative")
             cfg.seed = int(args.seed)
         out_dir = args.out if args.out is not None else cfg.out_dir
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:  # e.g. --out names an existing file
+            raise ConfigError(f"cannot create output directory: {exc}")
         handler = {
             "sweep": _cmd_sweep,
             "solve3d": _cmd_solve3d,

@@ -153,8 +153,8 @@ def out_of_plane_profile(y0, phi0, mat):
     phi0 = np.asarray(phi0, dtype=float)
     grad = np.stack([d1 @ phi0, phi0 @ d2.T], axis=-1)  # (n1, n2, 2)
     R = CylindricalIsometry.frame_of(y0.theta)
-    (_, kv, kz), _ = effective_permittivity(mat.permittivity.kbar(), R)
-    return m_out_of_plane((kv[:, None, :], kz[:, None]), grad)
+    (kb, kv, kz), _ = effective_permittivity(mat.permittivity.kbar(), R)
+    return m_out_of_plane((kb[:, None], kv[:, None, :], kz[:, None]), grad)
 
 
 def lift_potential(phi0, m, eps, grid):
@@ -314,18 +314,19 @@ def recovery_sweep(inputs, mat, grid, eps_list, use_mollifier=False, solver_tol=
         except (ValueError, electro3d.SolverError) as exc:
             row.reason = f"{type(exc).__name__}: {exc}"
             continue
-        report = elastic3d.apriori_report(y, phi, grid, eps, mat)
+        quad, moment = electro3d.dielectric_parts(y, grid, eps, mat)(phi)
+        dist2, pw_norm, min_det = elastic3d.apriori_report(y, phi, grid, eps, mat)
         row.Mel_scaled = mel
         row.hyper = hyp
         row.M_eps = mel + hyp
-        row.E_eps = electro3d.E_eps(y, phi, grid, eps, mat)
+        row.E_eps = electro3d.electrostatic_energy(quad, moment, mat.coupling)
         row.F_eps = row.M_eps - row.E_eps
         row.M0 = m0
         row.E0 = e0
         row.F0 = m0 - e0
-        row.d2_ratio = report.dist2_so3 / (eps * eps)
-        row.pW_norm = report.grad_phi_pw
-        row.min_det = report.min_det
-        row.pg0_res = electro3d.check_pg0(y, phi, grid, eps, mat)
+        row.d2_ratio = dist2 / (eps * eps)
+        row.pW_norm = pw_norm
+        row.min_det = min_det
+        row.pg0_res = electro3d.weak_form_residual(quad, moment, mat.coupling)
         row.ok = True
     return rows

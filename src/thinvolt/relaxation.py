@@ -2,19 +2,21 @@
 
 Three eliminations produce the effective 2D model:
 
-* relax_over_z: minimize Q3(X^0 + z (x) e3) over z in R^3, where X^0 embeds
-  a 2x2 matrix into the upper-left block. The minimizer is linear in X.
+* RelaxedQ2 (pointwise: relax_over_z): minimize Q3(X^0 + z (x) e3) over z
+  in R^3, where X^0 embeds a 2x2 matrix into the upper-left block. The
+  minimizer is linear in X.
 * RelaxedQ2.qbar2: average the relaxed form over the thickness and minimize
   over a constant 2x2 offset s, against an affine-in-thickness prestrain.
 * effective_permittivity / m_out_of_plane: rotate the averaged permittivity
   into a deformed frame and eliminate the out-of-plane field component,
-  which yields the Schur complement of the out-of-plane diagonal entry.
+  which yields the Schur complement of the out-of-plane diagonal entry,
+  batched over frames.
 """
 
 import numpy as np
 
 from .material import Q3_form
-from .smallmat import PartitionedSym3, QuadForm2, schur_effective
+from .smallmat import QuadForm2
 
 __all__ = [
     "relax_over_z",
@@ -32,40 +34,22 @@ _W_GAUSS = 0.5 * np.array(
 )
 
 
-def _embed_indices():
-    # vec positions of the upper-left 2x2 block inside a row-major 3x3 vec
-    return np.array([0, 1, 3, 4])
-
-
-def _coupling_basis():
-    # vec(z (x) e3) = S z with S the 9x3 selector of the third column
-    S = np.zeros((9, 3))
-    S[2, 0] = 1.0  # entry (0,2)
-    S[5, 1] = 1.0  # entry (1,2)
-    S[8, 2] = 1.0  # entry (2,2)
-    return S
+# selectors into the row-major 3x3 vec: vec(X^0) = _BLOCK vec(X) embeds a 2x2
+# matrix in the upper-left block, vec(z (x) e3) = _COLUMN z fills the third column
+_BLOCK = np.eye(9)[:, [0, 1, 3, 4]]
+_COLUMN = np.eye(9)[:, [2, 5, 8]]
 
 
 def relax_over_z(q3, X):
     """Minimize Q3 over the appended column: returns (z_star, value).
 
     X is a 2x2 matrix; X^0 places it in the upper-left 3x3 block. The
-    stationarity system is linear with the (cached-free) 3x3 matrix
-    S^T A S; a singular system means Q3 degenerates on the coupling
-    subspace and is rejected.
+    minimizer and the relaxed value are those of RelaxedQ2(q3), which
+    rejects a form that degenerates on the coupling subspace.
     """
+    rq = RelaxedQ2(q3)
     X = np.asarray(X, dtype=float).reshape(2, 2)
-    A = q3.A
-    S = _coupling_basis()
-    idx = _embed_indices()
-    x = np.zeros(9)
-    x[idx] = X.reshape(-1)
-    M = S.T @ A @ S
-    if abs(np.linalg.det(M)) < 1e-12 * max(1.0, np.linalg.norm(M) ** 3):
-        raise ValueError("relax_over_z: quadratic form degenerate on the coupling subspace")
-    z = -np.linalg.solve(M, S.T @ (A @ x))
-    v = x + S @ z
-    return z, float(v @ A @ v)
+    return rq.minimizer_z(X), float(rq.q2(X))
 
 
 class RelaxedQ2:
@@ -81,13 +65,10 @@ class RelaxedQ2:
         self.q3 = q3
         self.prestrain = prestrain
         A = q3.A
-        S = _coupling_basis()
-        idx = _embed_indices()
+        S, E = _COLUMN, _BLOCK
         M = S.T @ A @ S
         if abs(np.linalg.det(M)) < 1e-12 * max(1.0, np.linalg.norm(M) ** 3):
             raise ValueError("RelaxedQ2: quadratic form degenerate on the coupling subspace")
-        E = np.zeros((9, 4))
-        E[idx, np.arange(4)] = 1.0
         # minimizer map z(X) = L vec(X) and Schur-reduced coefficient matrix
         self._zmap = -np.linalg.solve(M, S.T @ A @ E)
         A2 = E.T @ (A - A @ S @ np.linalg.solve(M, S.T @ A)) @ E
@@ -168,9 +149,10 @@ class RelaxedQ2:
 def effective_permittivity(kbar, R):
     """Rotate the averaged permittivity into the frame R and reduce it.
 
-    Returns (PartitionedSym3 of R^T kbar R, 2x2 Schur complement). The frame
-    must be orthonormal to 1e-8. Batched over leading axes of R, in which
-    case the partition is returned as a plain tuple of arrays.
+    Returns ((kb, kv, kz), keff): the in-plane block, coupling column and
+    out-of-plane entry of R^T kbar R, and the 2x2 Schur complement
+    kb - kv kv^T / kz. The frame must be orthonormal to 1e-8. Batched over
+    any leading axes of R, including none.
     """
     kbar = np.asarray(kbar, dtype=float).reshape(3, 3)
     R = np.asarray(R, dtype=float)
@@ -178,9 +160,6 @@ def effective_permittivity(kbar, R):
     if np.max(np.abs(RtR - np.eye(3))) > 1e-8:
         raise ValueError("effective_permittivity: frame not orthonormal")
     K = np.swapaxes(R, -1, -2) @ kbar @ R
-    if R.ndim == 2:
-        part = PartitionedSym3.from_matrix(K)
-        return part, schur_effective(part)
     kb = K[..., :2, :2]
     kv = K[..., :2, 2]
     kz = K[..., 2, 2]
@@ -189,10 +168,7 @@ def effective_permittivity(kbar, R):
 
 
 def m_out_of_plane(K, gradphi):
-    """Optimal out-of-plane field component -kv . grad / kz for a reduced tensor."""
-    if isinstance(K, PartitionedSym3):
-        kv, kz = K.kv, K.kz
-    else:
-        kv, kz = K
+    """Optimal out-of-plane field component -kv . grad / kz for a partition (kb, kv, kz)."""
+    _, kv, kz = K
     g = np.asarray(gradphi, dtype=float)
     return -np.einsum("...i,...i->...", kv, g) / kz

@@ -15,11 +15,8 @@ __all__ = [
     "dist_SO3_sq",
     "sym_part",
     "random_rotation",
-    "cholesky3",
-    "schur_effective",
     "QuadForm3",
     "QuadForm2",
-    "PartitionedSym3",
 ]
 
 
@@ -134,76 +131,6 @@ def random_rotation(rng):
     if det3(Q) < 0.0:
         Q[:, 2] = -Q[:, 2]
     return Q
-
-
-def cholesky3(S, tol=0.0):
-    """Lower-triangular Cholesky factor of a symmetric positive definite 3x3 matrix.
-
-    Raises ValueError if a pivot is not strictly positive.
-    """
-    S = _check_square(S, 3, "S")
-    if S.ndim != 2:
-        raise ValueError("cholesky3: single matrix only")
-    if np.max(np.abs(S - S.T)) > 1e-12 * max(1.0, np.max(np.abs(S))):
-        raise ValueError("cholesky3: matrix not symmetric")
-    L = np.zeros((3, 3))
-    for i in range(3):
-        for j in range(i + 1):
-            s = S[i, j] - L[i, :j] @ L[j, :j]
-            if i == j:
-                if s <= tol:
-                    raise ValueError("cholesky3: matrix not positive definite")
-                L[i, i] = np.sqrt(s)
-            else:
-                L[i, j] = s / L[j, j]
-    return L
-
-
-class PartitionedSym3:
-    """Symmetric positive definite 3x3 matrix split into in-plane and out-of-plane parts.
-
-    Blocks: kbar (2x2, in-plane), kv (length-2 coupling column), kz (scalar,
-    out-of-plane diagonal entry).
-    """
-
-    def __init__(self, kbar, kv, kz):
-        self.kbar = np.asarray(kbar, dtype=float).reshape(2, 2)
-        self.kv = np.asarray(kv, dtype=float).reshape(2)
-        self.kz = float(kz)
-        if self.kz <= 0.0:
-            raise ValueError("PartitionedSym3: kz must be positive")
-        K = self.assemble()
-        if np.max(np.abs(K - K.T)) > 1e-10 * max(1.0, np.max(np.abs(K))):
-            raise ValueError("PartitionedSym3: kbar must be symmetric")
-        if np.min(np.linalg.eigvalsh(0.5 * (K + K.T))) <= 0.0:
-            raise ValueError("PartitionedSym3: assembled matrix not positive definite")
-
-    @classmethod
-    def from_matrix(cls, K):
-        K = _check_square(K, 3, "K")
-        if np.max(np.abs(K - K.T)) > 1e-8 * max(1.0, np.max(np.abs(K))):
-            raise ValueError("PartitionedSym3: matrix not symmetric")
-        K = 0.5 * (K + K.T)
-        return cls(K[:2, :2], K[:2, 2], K[2, 2])
-
-    def assemble(self):
-        K = np.zeros((3, 3))
-        K[:2, :2] = 0.5 * (self.kbar + self.kbar.T)
-        K[:2, 2] = self.kv
-        K[2, :2] = self.kv
-        K[2, 2] = self.kz
-        return K
-
-
-def schur_effective(K):
-    """Schur complement kbar - kv kv^T / kz of a PartitionedSym3.
-
-    This is the effective in-plane 2x2 tensor after eliminating the
-    out-of-plane component at fixed in-plane data.
-    """
-    if not isinstance(K, PartitionedSym3):
-        K = PartitionedSym3.from_matrix(K)
-    return 0.5 * (K.kbar + K.kbar.T) - np.outer(K.kv, K.kv) / K.kz
 
 
 class _QuadFormBase:

@@ -180,14 +180,7 @@ def test_apriori_report_flat_state():
     y = flat_deformation(grid, eps)
     system = assemble_poisson3(y, grid, eps, mat)
     phi = solve_potential3(system, tol=1e-10)
-    rep = apriori_report(y, phi, grid, eps, mat)
-    assert rep.eps == eps
-    assert rep.dist2_so3 < 1e-14
-    assert rep.dist2_so3_prestrain < 1e-14
-    assert abs(rep.min_det - 1.0) < 1e-12
-    assert abs(rep.det_inv_norm - 1.0) < 1e-12
-    assert abs(rep.grad_qw_norm - 3.0 ** (mat.elastic.q_w / 2.0)) < 1e-8 * 3.0 ** 13
-    assert abs(rep.p_w - 26.0 / 15.0) < 1e-12
-    assert rep.weighted_flux >= 0.0
-    assert rep.grad_phi_pw > 0.0
-    assert len(rep.row()) == 8
+    dist2, pw_norm, min_det = apriori_report(y, phi, grid, eps, mat)
+    assert dist2 < 1e-14
+    assert abs(min_det - 1.0) < 1e-12
+    assert pw_norm > 0.0

@@ -278,6 +278,15 @@ def test_cli_config_errors(tmp_path):
     assert cli_main(["sweep", "--config", cfgpath, "--eps", "0.1,0.2"]) == 2
     assert cli_main(["sweep", "--config", cfgpath, "--seed", "-1"]) == 2
     assert cli_main(["bogus-command", "--config", cfgpath]) == 2
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"seed": 0, "note": "\u00e9"}'.encode("latin-1"))
+    assert cli_main(["relax", "--config", str(latin1)]) == 2
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    assert cli_main(["relax", "--config", str(deep)]) == 2
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    assert cli_main(["relax", "--config", cfgpath, "--out", str(not_a_dir)]) == 2
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import pytest
 from thinvolt import fields
 from thinvolt.bending2d import CylindricalIsometry, solve_potential2
 from thinvolt.elastic3d import M_eps, flat_deformation
+from thinvolt.electro3d import E_eps, assemble_poisson3, check_pg0, solve_potential3
 from thinvolt.fields import Grid2, Grid3
 from thinvolt.material import (
     ChargeModel,
@@ -259,8 +260,15 @@ def test_recovery_sweep_rows():
     inputs = RecoveryInputs(isometry=y0, prestrain=mat.prestrain)
     rows = recovery_sweep(inputs, mat, grid3, [0.25, 0.125], solver_tol=1e-11)
     assert len(rows) == 2
+    d = optimal_corrector(inputs, grid3, _rq(mat))
     for row in rows:
         assert row.ok
+        # E_eps and pg0_res share one dielectric evaluation; both must equal
+        # the standalone evaluations at the row's lifted and solved pair bit for bit
+        y = lift_deformation(y0, row.eps, grid3, inputs.g_matrix, d)
+        phi = solve_potential3(assemble_poisson3(y, grid3, row.eps, mat), tol=1e-11)
+        assert row.E_eps == E_eps(y, phi, grid3, row.eps, mat)
+        assert row.pg0_res == check_pg0(y, phi, grid3, row.eps, mat)
         vals = np.array(row.values())
         assert np.all(np.isfinite(vals))
         assert abs(row.M0 - 1.0 / 9.0) < 1e-12

@@ -1,18 +1,16 @@
 import numpy as np
 import pytest
 
+from thinvolt.relaxation import effective_permittivity
 from thinvolt.smallmat import (
-    PartitionedSym3,
     QuadForm2,
     QuadForm3,
-    cholesky3,
     cofactor3,
     det3,
     dist_SO3_sq,
     inv3,
     nearest_rotation,
     random_rotation,
-    schur_effective,
     sym_part,
 )
 
@@ -102,35 +100,13 @@ def test_dist_SO3_sq_zero_on_rotations():
         assert dist_SO3_sq(R) <= 1e-13
 
 
-def test_cholesky3():
-    rng = np.random.default_rng(10)
-    for _ in range(30):
-        A = rng.standard_normal((3, 3))
-        S = A @ A.T + 0.5 * np.eye(3)
-        L = cholesky3(S)
-        assert np.allclose(L @ L.T, S, atol=1e-12)
-    with pytest.raises(ValueError):
-        cholesky3(np.diag([1.0, -1.0, 1.0]))
-
-
-def test_partitioned_sym3_roundtrip():
-    rng = np.random.default_rng(12)
-    A = rng.standard_normal((3, 3))
-    K = A @ A.T + np.eye(3)
-    P = PartitionedSym3.from_matrix(K)
-    assert np.allclose(P.assemble(), K)
-    assert np.allclose(P.kbar, K[:2, :2])
-    assert np.allclose(P.kv, K[:2, 2])
-    assert P.kz == K[2, 2]
-
-
 def test_schur_effective_positive_definite_and_interlaced():
     """The reduced 2x2 tensor is SPD and its eigenvalues sit inside the 3x3 range."""
     rng = np.random.default_rng(13)
     for _ in range(50):
         A = rng.standard_normal((3, 3))
         K = A @ A.T + 0.1 * np.eye(3)
-        Keff = schur_effective(K)
+        _, Keff = effective_permittivity(K, np.eye(3))
         ev3 = np.linalg.eigvalsh(K)
         ev2 = np.linalg.eigvalsh(Keff)
         assert ev2[0] > 0
@@ -143,7 +119,7 @@ def test_schur_effective_minimization_oracle():
     rng = np.random.default_rng(14)
     A = rng.standard_normal((3, 3))
     K = A @ A.T + 0.2 * np.eye(3)
-    Keff = schur_effective(K)
+    _, Keff = effective_permittivity(K, np.eye(3))
     for _ in range(20):
         v = rng.standard_normal(2)
         zs = np.linspace(-5.0, 5.0, 20001)
