@@ -153,17 +153,26 @@ def charge_load(density, grid, gamma):
     return fields.corner_scatter(U, grid)
 
 
+def _pulled_back(y, grid, eps, mat):
+    """Cellwise (kappa, density) at y: scaled gradient, orientation check and pullback run once."""
+    F = fields.scaled_gradient(y, grid, eps)
+    _orientation_check(F, grid)
+    return kappa_pullback(F, mat.permittivity.k), mat.charge.n_ch(grid.c1)[:, None, None]
+
+
 def assemble_poisson3(y, grid, eps, mat):
     """Build the potential system for a nodal deformation y.
 
     Rejects deformations with a nonpositive cell determinant, reporting the
     offending cell. beta sits on the stiffness side and gamma on the load.
+    system.energy_parts is energy_parts on the same pulled-back permittivity,
+    so a caller that assembles needs no dielectric_parts at the same y.
     """
-    F = fields.scaled_gradient(y, grid, eps)
-    _orientation_check(F, grid)
-    coef = mat.coupling.beta * kappa_pullback(F, mat.permittivity.k)
-    load = charge_load(mat.charge.n_ch(grid.c1)[:, None, None], grid, mat.coupling.gamma)
-    return PoissonSystem3(grid, coef, load, eps)
+    kappa, density = _pulled_back(y, grid, eps, mat)
+    load = charge_load(density, grid, mat.coupling.gamma)
+    system = PoissonSystem3(grid, mat.coupling.beta * kappa, load, eps)
+    system.energy_parts = energy_parts(kappa, density, grid, eps)
+    return system
 
 
 def solve_potential3(system, tol=1e-10, x0=None, max_iter=None):
@@ -192,11 +201,8 @@ def energy_parts(kappa, density, grid, eps=1.0):
 
 
 def dielectric_parts(y, grid, eps, mat):
-    """energy_parts at the deformation y: scaled gradient, orientation check and pullback run once."""
-    F = fields.scaled_gradient(y, grid, eps)
-    _orientation_check(F, grid)
-    kappa = kappa_pullback(F, mat.permittivity.k)
-    return energy_parts(kappa, mat.charge.n_ch(grid.c1)[:, None, None], grid, eps)
+    """energy_parts at the deformation y, for callers that do not assemble there."""
+    return energy_parts(*_pulled_back(y, grid, eps, mat), grid, eps)
 
 
 def electrostatic_energy(quad, moment, coupling):

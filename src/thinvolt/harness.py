@@ -28,6 +28,7 @@ from .material import (
 )
 from .recovery import SWEEP_COLUMNS, RecoveryInputs, SweepRow, lift_deformation, optimal_corrector, recovery_sweep
 from .relaxation import RelaxedQ2
+from .smallmat import QuadForm2
 
 __all__ = [
     "ConfigError",
@@ -333,9 +334,9 @@ def solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-10, grad_tol=1e-7
         system = electro3d.assemble_poisson3(y, grid, eps, mat)
         phi = electro3d.solve_potential3(system, tol=poisson_tol, x0=phi)
         # F_eps = M_eps - E_eps with M_eps and the dielectric y-factors
-        # independent of phi: the phi-side evaluations reuse one M_eps and one
-        # dielectric_parts per iterate (y is always feasible here)
-        parts = electro3d.dielectric_parts(y, grid, eps, mat)
+        # independent of phi: the phi-side evaluations reuse one M_eps and the
+        # system's dielectric parts per iterate
+        parts = system.energy_parts
         quad, moment = parts(phi)
         pg0 = electro3d.weak_form_residual(quad, moment, mat.coupling)
         m_y = elastic3d.M_eps(y, grid, eps, mat)
@@ -515,15 +516,8 @@ def _cmd_relax(cfg, out_dir):
     mat = cfg.material
     rq = RelaxedQ2.of(mat)
     mu, lam = mat.elastic.mu, mat.elastic.lam
-    coef = 2.0 * mu * lam / (2.0 * mu + lam)
-    # closed-form reduced matrix in row-major vec(2x2) coordinates
-    A_ref = np.zeros((4, 4))
-    for a in range(2):
-        for b in range(2):
-            for c in range(2):
-                for dd in range(2):
-                    val = coef * (a == b) * (c == dd) + mu * ((a == c) * (b == dd) + (a == dd) * (b == c))
-                    A_ref[2 * a + b, 2 * c + dd] = val
+    # closed form: column relaxation of an isotropic form is isotropic in 2D
+    A_ref = QuadForm2.isotropic(mu, 2.0 * mu * lam / (2.0 * mu + lam)).A
     dev = float(np.max(np.abs(rq.q2.A - A_ref)))
     P, q, r = rq.qbar2_coefficients()
     payload = {
@@ -543,7 +537,10 @@ def _cmd_check(cfg, out_dir):
     path = os.path.join(out_dir, "sweep.csv")
     if not os.path.exists(path):
         raise ConfigError(f"check: no sweep table at {path}; run sweep first")
-    table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, ValueError) as exc:  # a directory, or a non-numeric entry
+        raise ConfigError(f"check: cannot read sweep table {path}: {exc}")
     if table.shape[1] != len(SWEEP_COLUMNS):
         raise ConfigError("check: sweep table has unexpected columns")
     rows = []

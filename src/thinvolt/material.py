@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .smallmat import QuadForm3, cofactor3, det3, inv3, sym_part
+from .smallmat import QuadForm3, cofactor3, det3, inv3
 
 __all__ = [
     "ElasticParams",
@@ -233,13 +233,7 @@ def dW_el(F, params):
 
 def Q3_form(params):
     """Quadratic expansion of W_el at the identity, Q3(H) = 2 mu |sym H|^2 + lam (tr H)^2."""
-
-    def q(H):
-        S = sym_part(H)
-        tr = np.trace(H)
-        return 2.0 * params.mu * float(np.sum(S * S)) + params.lam * tr * tr
-
-    return QuadForm3.from_evaluator(q)
+    return QuadForm3.isotropic(params.mu, params.lam)
 
 
 def quadratic_expansion_check(params, n_samples=200, scales=(1e-2, 1e-3, 1e-4), rng=None):

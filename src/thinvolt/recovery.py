@@ -314,7 +314,7 @@ def recovery_sweep(inputs, mat, grid, eps_list, use_mollifier=False, solver_tol=
         except (ValueError, electro3d.SolverError) as exc:
             row.reason = f"{type(exc).__name__}: {exc}"
             continue
-        quad, moment = electro3d.dielectric_parts(y, grid, eps, mat)(phi)
+        quad, moment = system.energy_parts(phi)
         dist2, pw_norm, min_det = elastic3d.apriori_report(y, phi, grid, eps, mat)
         row.Mel_scaled = mel
         row.hyper = hyp

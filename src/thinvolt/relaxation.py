@@ -6,7 +6,9 @@ Three eliminations produce the effective 2D model:
   in R^3, where X^0 embeds a 2x2 matrix into the upper-left block. The
   minimizer is linear in X.
 * RelaxedQ2.qbar2: average the relaxed form over the thickness and minimize
-  over a constant 2x2 offset s, against an affine-in-thickness prestrain.
+  over a constant 2x2 offset s, against the affine prestrain B0 + t B1. The
+  t-integral over (-1/2, 1/2) splits into Q2(G - B1)/12 + Q2(s - B0), so the
+  optimal offset is sym(B0) and the average is Q2(G - B1)/12 (2x2 blocks).
 * effective_permittivity / m_out_of_plane: rotate the averaged permittivity
   into a deformed frame and eliminate the out-of-plane field component,
   which yields the Schur complement of the out-of-plane diagonal entry,
@@ -15,8 +17,8 @@ Three eliminations produce the effective 2D model:
 
 import numpy as np
 
-from .material import Q3_form
-from .smallmat import QuadForm2
+from .material import PrestrainModel, Q3_form
+from .smallmat import QuadForm2, sym_part
 
 __all__ = [
     "relax_over_z",
@@ -24,15 +26,6 @@ __all__ = [
     "effective_permittivity",
     "m_out_of_plane",
 ]
-
-# 4-point Gauss-Legendre rule on (-1/2, 1/2); exact through degree 7
-_T_GAUSS = 0.5 * np.array(
-    [-0.8611363115940526, -0.3399810435848563, 0.3399810435848563, 0.8611363115940526]
-)
-_W_GAUSS = 0.5 * np.array(
-    [0.3478548451374538, 0.6521451548625461, 0.6521451548625461, 0.3478548451374538]
-)
-
 
 # selectors into the row-major 3x3 vec: vec(X^0) = _BLOCK vec(X) embeds a 2x2
 # matrix in the upper-left block, vec(z (x) e3) = _COLUMN z fills the third column
@@ -57,13 +50,14 @@ class RelaxedQ2:
 
     Built from a 3x3-matrix quadratic form (typically the expansion of the
     elastic density at the identity) and an affine-in-thickness prestrain.
-    Caches the factorized column-relaxation system, the linear minimizer
-    map, and the resulting 2x2-form coefficient matrix.
+    Caches the linear minimizer map, the resulting 2x2-form coefficient
+    matrix and the in-plane prestrain blocks.
     """
 
     def __init__(self, q3, prestrain=None):
-        self.q3 = q3
         self.prestrain = prestrain
+        pre = PrestrainModel() if prestrain is None else prestrain
+        self._b0, self._b1 = sym_part(pre.B0[:2, :2]), pre.B1[:2, :2]
         A = q3.A
         S, E = _COLUMN, _BLOCK
         M = S.T @ A @ S
@@ -100,50 +94,24 @@ class RelaxedQ2:
 
     # -- thickness average -------------------------------------------------
 
-    def qbar2(self, G, xp=None):
+    def qbar2(self, G):
         """Thickness-averaged relaxed form at in-plane matrix G.
 
         Minimizes int_{-1/2}^{1/2} Q2(t G + s - B_2x2(t)) dt over constant
-        2x2 offsets s (4-point Gauss rule in t, exact for this quadratic
-        integrand). The skew part of s is unconstrained because Q2 kills
-        skew inputs; the least-norm stationary point pins it to zero.
-        Returns (s_star, value).
+        2x2 offsets s. The minimizer is sym(B0_2x2) (Q2 kills the skew part)
+        and the minimum Q2(G - B1_2x2) / 12. Returns (s_star, value).
         """
         G = np.asarray(G, dtype=float).reshape(2, 2)
-        A2 = self.q2.A
-        g = G.reshape(-1)
-        bq = self._prestrain_blocks()
-        # stationarity: A2 (s + sum_q w_q (t_q g - b_q)) = 0
-        rhs = A2 @ sum(w * (t * g - b) for w, t, b in zip(_W_GAUSS, _T_GAUSS, bq))
-        s, *_ = np.linalg.lstsq(A2, -rhs, rcond=None)
-        val = 0.0
-        for w, t, b in zip(_W_GAUSS, _T_GAUSS, bq):
-            v = t * g + s - b
-            val += w * float(v @ A2 @ v)
-        return s.reshape(2, 2), val
-
-    def _prestrain_blocks(self):
-        if self.prestrain is None:
-            return [np.zeros(4) for _ in _T_GAUSS]
-        return [self.prestrain.B(t)[:2, :2].reshape(-1) for t in _T_GAUSS]
+        return self._b0.copy(), float(self.q2(G - self._b1)) / 12.0
 
     def qbar2_coefficients(self):
-        """Quadratic polynomial Qbar2(G) = vec(G)^T P vec(G) + q . vec(G) + r."""
-        _, r = self.qbar2(np.zeros((2, 2)))
-        P = np.zeros((4, 4))
-        q = np.zeros(4)
-        basis = np.eye(4)
-        for a in range(4):
-            _, plus = self.qbar2(basis[a].reshape(2, 2))
-            _, minus = self.qbar2(-basis[a].reshape(2, 2))
-            P[a, a] = 0.5 * (plus + minus) - r
-            q[a] = 0.5 * (plus - minus)
-        for a in range(4):
-            for b in range(a + 1, 4):
-                _, pp = self.qbar2((basis[a] + basis[b]).reshape(2, 2))
-                cross = 0.5 * (pp - r - q[a] - q[b] - P[a, a] - P[b, b])
-                P[a, b] = P[b, a] = cross
-        return P, q, r
+        """Quadratic polynomial Qbar2(G) = vec(G)^T P vec(G) + q . vec(G) + r.
+
+        With b1 = vec(B1_2x2): P = A2 / 12, q = -A2 b1 / 6, r = b1 . A2 b1 / 12.
+        """
+        A2 = self.q2.A
+        b1 = self._b1.reshape(-1)
+        return A2 / 12.0, -A2 @ b1 / 6.0, float(b1 @ A2 @ b1) / 12.0
 
 
 def effective_permittivity(kbar, R):

@@ -176,19 +176,12 @@ class _QuadFormBase:
         self.A = A
 
     @classmethod
-    def from_evaluator(cls, q):
-        """Build the coefficient matrix from a scalar evaluator by polarization."""
+    def isotropic(cls, mu, lam):
+        """2 mu |sym H|^2 + lam (tr H)^2: A[(ij), (kl)] = mu (d_ik d_jl + d_il d_jk) + lam d_ij d_kl."""
         n = cls._n
-        m = n * n
-        A = np.zeros((m, m))
-        basis = [np.zeros((n, n)) for _ in range(m)]
-        for k in range(m):
-            basis[k][divmod(k, n)] = 1.0
-        for a in range(m):
-            for b in range(a, m):
-                val = 0.25 * (q(basis[a] + basis[b]) - q(basis[a] - basis[b]))
-                A[a, b] = A[b, a] = val
-        return cls(A)
+        I = np.eye(n)
+        A = mu * (np.einsum("ik,jl->ijkl", I, I) + np.einsum("il,jk->ijkl", I, I)) + lam * np.einsum("ij,kl->ijkl", I, I)
+        return cls(A.reshape(n * n, n * n))
 
     def __call__(self, H):
         H = np.asarray(H, dtype=float)

@@ -403,6 +403,12 @@ def test_cli_check_roundtrip(tmp_path):
     assert cli_main(["check", "--config", cfgpath, "--out", str(empty)]) == 2
     (out / "sweep.csv").write_text("a,b\n1,2\n")
     assert cli_main(["check", "--config", cfgpath, "--out", str(out)]) == 2
+    # unreadable tables too: a non-numeric entry, and a directory at the path
+    (out / "sweep.csv").write_text("eps,a\n1,zz\n")
+    assert cli_main(["check", "--config", cfgpath, "--out", str(out)]) == 2
+    as_dir = tmp_path / "as_dir"
+    (as_dir / "sweep.csv").mkdir(parents=True)
+    assert cli_main(["check", "--config", cfgpath, "--out", str(as_dir)]) == 2
 
 
 def _solve2d_config(path, max_iters):

@@ -52,11 +52,21 @@ def test_relax_over_z_is_minimal():
 
 
 def test_relax_over_z_rejects_degenerate_form():
-    # a form vanishing on every appended column cannot be reduced
-    A = np.zeros((9, 9))
-    A[0, 0] = A[4, 4] = 1.0
-    with pytest.raises(ValueError):
-        relax_over_z(QuadForm3(A), np.eye(2))
+    # positive definite on symmetric matrices, so QuadForm3 accepts it, but
+    # nearly flat in the (0,2) and (1,2) directions, so the column system
+    # is singular to the reduction's tolerance
+    basis = []
+    for a in range(3):
+        for b in range(a, 3):
+            S = np.zeros((3, 3))
+            S[a, b] = S[b, a] = 1.0
+            basis.append(S.reshape(-1) / np.linalg.norm(S))
+    E = np.stack(basis, axis=1)
+    q = QuadForm3(E @ np.diag([1.0, 1.0, 1e-7, 1.0, 1e-7, 1.0]) @ E.T)
+    with pytest.raises(ValueError, match="degenerate on the coupling subspace"):
+        RelaxedQ2(q)
+    with pytest.raises(ValueError, match="degenerate on the coupling subspace"):
+        relax_over_z(q, np.eye(2))
 
 
 def test_q2_eval_matches_closed_form():
@@ -138,16 +148,32 @@ def test_qbar2_offset_is_optimal():
 
 def test_qbar2_coefficients_reconstruct_values():
     p = ElasticParams(mu=1.1, lam=0.4, q_w=26.0)
-    pre = PrestrainModel(B1=np.array([[0.5, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
-    rq = RelaxedQ2(Q3_form(p), prestrain=pre)
-    P, q, r = rq.qbar2_coefficients()
-    assert np.max(np.abs(P - P.T)) < 1e-12
+    # the second prestrain has off-diagonal in-plane B0 and B1 entries, so the
+    # offset sym(B0) and the linear term -A2 b1 / 6 are both nontrivial
+    prestrains = [
+        PrestrainModel(B1=np.array([[0.5, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])),
+        PrestrainModel(
+            B0=np.array([[0.1, -0.25, 0.05], [-0.25, 0.3, 0.0], [0.05, 0.0, -0.2]]),
+            B1=np.array([[0.4, 0.15, 0.0], [0.15, -0.2, 0.1], [0.0, 0.1, 0.3]]),
+        ),
+    ]
     rng = np.random.default_rng(24)
-    for _ in range(20):
-        G = rng.standard_normal((2, 2))
-        g = G.reshape(-1)
-        _, val = rq.qbar2(G)
-        assert abs(g @ P @ g + q @ g + r - val) < 1e-9
+    for pre in prestrains:
+        rq = RelaxedQ2(Q3_form(p), prestrain=pre)
+        P, q, r = rq.qbar2_coefficients()
+        assert np.max(np.abs(P - P.T)) < 1e-12
+        for _ in range(20):
+            G = rng.standard_normal((2, 2))
+            g = G.reshape(-1)
+            s, val = rq.qbar2(G)
+            assert np.max(np.abs(s - pre.B0[:2, :2])) < 1e-15
+            assert abs(g @ P @ g + q @ g + r - val) < 1e-9
+
+            # Simpson is exact for the quadratic-in-t integrand
+            def f(t):
+                return rq.q2(t * G + s - pre.B(t)[:2, :2])
+
+            assert abs((f(-0.5) + 4.0 * f(0.0) + f(0.5)) / 6.0 - val) < 1e-12
 
 
 def test_qbar2_coefficients_no_prestrain():

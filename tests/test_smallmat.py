@@ -130,34 +130,35 @@ def test_schur_effective_minimization_oracle():
         assert abs(np.min(vals) - v @ Keff @ v) <= 1e-5
 
 
-def test_quadform_polarization_roundtrip():
-    # build from an evaluator, evaluate back, coefficients symmetric
+def _isotropic_direct(H, mu, lam):
+    S = 0.5 * (H + np.swapaxes(H, -1, -2))
+    return 2.0 * mu * np.sum(S * S, axis=(-2, -1)) + lam * np.trace(H, axis1=-2, axis2=-1) ** 2
+
+
+def test_quadform_isotropic_matches_formula():
+    # the closed-form coefficients against 2 mu |sym H|^2 + lam (tr H)^2, n = 2 and 3
     rng = np.random.default_rng(15)
-    mu, lam = 1.3, 0.7
-
-    def q(H):
-        S = 0.5 * (H + H.T)
-        return 2.0 * mu * float(np.sum(S * S)) + lam * float(np.trace(H)) ** 2
-
-    Q = QuadForm3.from_evaluator(q)
-    for _ in range(50):
-        H = rng.standard_normal((3, 3))
-        assert abs(Q(H) - q(H)) <= 1e-10 * max(1.0, abs(q(H)))
-    assert np.allclose(Q.A, Q.A.T)
+    for cls in (QuadForm2, QuadForm3):
+        n = cls._n
+        for _ in range(10):
+            mu, lam = rng.uniform(0.1, 3.0, 2)
+            Q = cls.isotropic(mu, lam)
+            assert np.array_equal(Q.A, Q.A.T)
+            for _ in range(20):
+                H = rng.standard_normal((n, n))
+                want = _isotropic_direct(H, mu, lam)
+                assert abs(Q(H) - want) <= 1e-12 * max(1.0, want)
 
 
 def test_quadform_batched_call():
-    def q(H):
-        S = 0.5 * (H + H.T)
-        return float(np.sum(S * S)) + 0.5 * float(np.trace(H)) ** 2
-
-    Q = QuadForm2.from_evaluator(q)
+    Q = QuadForm2.isotropic(0.5, 0.5)
     rng = np.random.default_rng(16)
     H = rng.standard_normal((7, 2, 2))
     vals = Q(H)
     assert vals.shape == (7,)
     for i in range(7):
         assert abs(vals[i] - Q(H[i])) <= 1e-12
+    assert np.max(np.abs(vals - _isotropic_direct(H, 0.5, 0.5))) <= 1e-12
 
 
 def test_quadform_rejects_bad_forms():
