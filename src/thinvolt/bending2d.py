@@ -253,20 +253,18 @@ def saddle_iterate_2d(theta0, grid, mat, iters=200, tol=1e-8, rq=None, solver_to
     """
     if rq is None:
         rq = RelaxedQ2.of(mat)
-    last = {}
 
-    def solved(theta):
-        if "y0" not in last or not np.array_equal(last["y0"].theta, theta):
-            y0 = CylindricalIsometry(grid, theta)
-            last.update(y0=y0, phi=solve_potential2(y0, mat, tol=solver_tol))
-        return last["y0"], last["phi"]
+    def evaluate(theta):
+        y0 = CylindricalIsometry(grid, theta)
+        phi = solve_potential2(y0, mat, tol=solver_tol)
+        return F0(y0, phi, mat, rq), (y0, phi)
 
     H = _bending_hessian(grid, rq)
     c = 1e-2 * max(np.abs(np.diag(H)).max(), 1.0)
     inv_metric = np.linalg.inv(H + c / grid.n1)  # adds c 11^T / n1
-    theta, info = optimize.lbfgs(
-        lambda th: F0(*solved(th), mat, rq),
-        lambda th: _theta_gradient(*solved(th), mat, rq),
+    _, (y0, phi), info = optimize.lbfgs(
+        evaluate,
+        lambda state: _theta_gradient(*state, mat, rq),
         theta0,
         lambda v: inv_metric @ v,
         max_iter=iters,
@@ -274,5 +272,4 @@ def saddle_iterate_2d(theta0, grid, mat, iters=200, tol=1e-8, rq=None, solver_to
     )
     f = info["objectives"] + [info["objective"]]
     history = list(zip(f[:-1], f[1:], info["grad_norms"], info["steps"] + [0.0]))
-    y0, phi = solved(theta)
     return y0, phi, np.array(history), info["converged"]

@@ -46,20 +46,15 @@ _W_GAUSS = (0.5, 0.5)
 
 
 def _prestrain_cells(grid, eps, mat, z):
-    """M = I + eps B at the local x3 coordinate z of every cell, with exact inverse."""
+    """(M^-1, det M) for M = I + eps B at the local x3 coordinate z of every cell."""
     t = grid.c3 + (z - 0.5) * grid.h3
     B = mat.prestrain.B(t)  # (nc3, 3, 3)
     M = _EYE3 + eps * B
-    Minv = inv3(M)
     detM = det3(M)
     if np.min(detM) <= 0.0:
         raise ValueError("prestrain factor loses orientation at this eps")
     shape = (1, 1, grid.cshape[2])
-    return (
-        np.broadcast_to(M, shape + (3, 3)),
-        np.broadcast_to(Minv, shape + (3, 3)),
-        np.broadcast_to(detM, shape),
-    )
+    return np.broadcast_to(inv3(M), shape + (3, 3)), np.broadcast_to(detM, shape)
 
 
 def _elastic_integral(y, grid, eps, mat):
@@ -67,7 +62,7 @@ def _elastic_integral(y, grid, eps, mat):
     total = 0.0
     for z, w in zip(_Z_GAUSS, _W_GAUSS):
         F = fields.scaled_gradient(y, grid, eps, point=(0.5, 0.5, z))
-        _, Minv, detM = _prestrain_cells(grid, eps, mat, z)
+        Minv, detM = _prestrain_cells(grid, eps, mat, z)
         Wd = W_el(F @ Minv, mat.elastic)
         if not np.all(np.isfinite(Wd)):
             return np.inf
@@ -105,7 +100,7 @@ def grad_M_eps(y, grid, eps, mat):
     g = None
     for z, w in zip(_Z_GAUSS, _W_GAUSS):
         F = fields.scaled_gradient(y, grid, eps, point=(0.5, 0.5, z))
-        _, Minv, detM = _prestrain_cells(grid, eps, mat, z)
+        Minv, detM = _prestrain_cells(grid, eps, mat, z)
         arg = F @ Minv
         if np.min(det3(arg)) <= 0.0:
             raise ValueError("grad_M_eps: energy is infinite at this deformation")

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import bending2d, elastic3d, electro3d, fields, svgplot
+from . import bending2d, elastic3d, electro3d, fields, optimize, svgplot
 from .bending2d import CylindricalIsometry, saddle_iterate_2d
 from .material import (
     ChargeModel,
@@ -353,19 +353,18 @@ def solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-10, grad_tol=1e-7
             converged = True
             break
         step = min(4.0 * step, 1e3)
-        accepted = False
-        for _ in range(60):
-            cand = fields.zero_mean_project(y - step * g, grid)
-            f_cand = elastic3d.F_eps(cand, phi, grid, eps, mat)
-            if np.isfinite(f_cand) and f_cand <= f_phi - 1e-4 * step * gnorm * gnorm:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
+
+        def trial(c):
+            c = fields.zero_mean_project(c, grid)
+            return elastic3d.F_eps(c, phi, grid, eps, mat), c
+
+        found = optimize.backtrack(trial, y, f_phi, g, -step * g)
+        if found is None:
             history.append((f_phi, f_phi, gnorm, 0.0, pg0, probe["phi_side"]))
             break
-        y = cand
-        history.append((f_phi, f_cand, gnorm, step, pg0, probe["phi_side"]))
+        _, f_y, y, t = found
+        step *= t
+        history.append((f_phi, f_y, gnorm, step, pg0, probe["phi_side"]))
     system = electro3d.assemble_poisson3(y, grid, eps, mat)
     phi = electro3d.solve_potential3(system, tol=poisson_tol, x0=phi)
     return y, phi, np.array(history), converged

@@ -1,4 +1,7 @@
-"""Limited-memory BFGS with a metric and Armijo backtracking.
+"""Armijo backtracking and limited-memory BFGS with a metric.
+
+`backtrack` is the package's one line search. Evaluations return (f, state),
+the state being what the gradient needs, so no point is evaluated twice.
 
 The two-loop recursion (Nocedal, Math. Comp. 35, 1980; Liu & Nocedal,
 Math. Prog. 45, 1989) starts from an inverse metric M^-1 scaled by
@@ -11,7 +14,7 @@ from collections import deque
 
 import numpy as np
 
-__all__ = ["MEMORY", "lbfgs"]
+__all__ = ["MEMORY", "MAX_BACKTRACKS", "backtrack", "lbfgs"]
 
 MEMORY = 10  # curvature pairs kept
 ARMIJO = 1e-4  # sufficient-decrease constant
@@ -37,23 +40,24 @@ def _direction(g, pairs, inv_metric):
     return -r
 
 
-def _backtrack(fun, x, f, g, p):
-    """Armijo backtracking from the unit step; (x, f, t) accepted, or None."""
+def backtrack(fun, x, f, g, p):
+    """Armijo backtracking from the unit step; (x, f, state, t) accepted, or None."""
     slope = float(np.vdot(g, p))
-    t = 1.0
-    for _ in range(MAX_BACKTRACKS):
+    for k in range(MAX_BACKTRACKS):
+        t = 0.5**k
         cand = x + t * p
-        fc = float(fun(cand))
+        fc, state = fun(cand)
         if fc <= f + ARMIJO * t * slope:
-            return cand, fc, t
-        t *= 0.5
+            return cand, float(fc), state, t
+        del state  # a rejected trial's state is not kept through the next evaluation
     return None
 
 
 def lbfgs(fun, grad, x0, inv_metric, max_iter, grad_tol):
-    """Minimise fun from x0; returns (x, info).
+    """Minimise fun from x0; returns (x, state, info), state being fun's at x.
 
-    grad is called once at the top of each iteration, so info["iters"] is
+    fun(x) returns (objective, state). grad(state) is called once at the top
+    of each iteration, on the accepted point's state, so info["iters"] is
     the number of gradient calls. The loop stops when the Euclidean norm of
     the gradient falls to grad_tol ("converged"), after max_iter gradient
     calls ("max_iters"), or when a line search fails both along the L-BFGS
@@ -67,7 +71,8 @@ def lbfgs(fun, grad, x0, inv_metric, max_iter, grad_tol):
     accepted Armijo step of each iteration that moved).
     """
     x = np.array(x0, dtype=float)
-    f = float(fun(x))
+    f, state = fun(x)
+    f = float(f)
     objectives = [f]
     grad_norms, steps = [], []
     pairs = deque(maxlen=MEMORY)
@@ -76,7 +81,7 @@ def lbfgs(fun, grad, x0, inv_metric, max_iter, grad_tol):
     stop = "max_iters"
     it = 0
     for it in range(1, int(max_iter) + 1):
-        g = grad(x)
+        g = grad(state)
         gnorm = float(np.linalg.norm(g))
         grad_norms.append(gnorm)
         if gnorm <= grad_tol:
@@ -90,17 +95,17 @@ def lbfgs(fun, grad, x0, inv_metric, max_iter, grad_tol):
             sy = float(np.vdot(s, y))
             if sy > 0.0:
                 pairs.append((s, y, 1.0 / sy))
-        step = _backtrack(fun, x, f, g, _direction(g, pairs, inv_metric))
+        step = backtrack(fun, x, f, g, _direction(g, pairs, inv_metric))
         if step is None and pairs:
             pairs.clear()
-            step = _backtrack(fun, x, f, g, -inv_metric(g))
+            step = backtrack(fun, x, f, g, -inv_metric(g))
         if step is None:
             stop = "line_search"
             break
         x_prev, g_prev = x, g
-        x, f, t = step
+        x, f, state, t = step
         objectives.append(f)
         steps.append(t)
     info = {"iters": it, "grad_norm": gnorm, "objective": f, "converged": stop == "converged", "stop": stop}
     info.update(objectives=objectives, grad_norms=grad_norms, steps=steps)
-    return x, info
+    return x, state, info

@@ -167,8 +167,8 @@ def lift_potential(phi0, m, eps, grid):
     return fields.zero_mean_project(phi, grid)
 
 
-def mollifier_objective(v, d, grid, eps, tau, q_h):
-    """Smoothing objective: derivative penalties plus L2 fidelity to d."""
+def _mollifier_evaluation(v, d, grid, eps, tau, q_h):
+    """(objective, (v, G, H)): the smoothing objective with the derivatives it took."""
     v = np.asarray(v, dtype=float)
     d = np.asarray(d, dtype=float)
     G = fields.scaled_gradient(v, grid, 1.0)
@@ -178,17 +178,21 @@ def mollifier_objective(v, d, grid, eps, tau, q_h):
     pen = (eps**tau / q_h) * fields.integrate3(gn + hn, grid)
     wn = np.einsum("i,j,k->ijk", grid.w1, grid.w2, grid.w3)
     fid = 0.5 * float(np.sum(wn[..., None] * (v - d) ** 2))
-    return pen + fid
+    return pen + fid, (v, G, H)
 
 
-def _mollifier_gradient(v, d, grid, eps, tau, q_h):
-    v = np.asarray(v, dtype=float)
+def mollifier_objective(v, d, grid, eps, tau, q_h):
+    """Smoothing objective: derivative penalties plus L2 fidelity to d."""
+    return _mollifier_evaluation(v, d, grid, eps, tau, q_h)[0]
+
+
+def _mollifier_gradient(state, d, grid, eps, tau, q_h):
+    """Gradient of the smoothing objective from an evaluation's (v, G, H)."""
+    v, G, H = state
     vol = grid.cell_volume
-    G = fields.scaled_gradient(v, grid, 1.0)
     gn2 = np.sum(G * G, axis=(-2, -1))
     wG = np.where(gn2 > 0, gn2, 1.0) ** (q_h / 2.0 - 1.0) * (gn2 > 0)
     out = fields.gradient_scatter(eps**tau * vol * wG[..., None, None] * G, grid, 1.0)
-    H = fields.scaled_hessian(v, grid, 1.0)
     hn2 = np.sum(H * H, axis=(-3, -2, -1))
     wH = np.where(hn2 > 0, hn2, 1.0) ** (q_h / 2.0 - 1.0) * (hn2 > 0)
     out += fields.hessian_scatter(eps**tau * vol * wH[..., None, None, None] * H, grid, 1.0)
@@ -201,7 +205,8 @@ def mollify_field(d, grid, eps, tau=None, q_h=4.0, iters=500, grad_tol=1e-8):
     """Minimize the smoothing objective by L-BFGS from the raw field.
 
     The metric is the lumped trapezoid mass, the Hessian of the fidelity
-    term. Returns (smoothed field, info dict); info["iters"] counts gradient
+    term; the gradient and the seminorm reuse each evaluation's derivatives.
+    Returns (smoothed field, info dict); info["iters"] counts gradient
     evaluations and info["converged"] says whether the gradient norm at the
     returned field is at most grad_tol. The penalty exponent tau defaults
     to q_h / 2; it must stay inside (0, q_h) for the fidelity term to win
@@ -216,16 +221,15 @@ def mollify_field(d, grid, eps, tau=None, q_h=4.0, iters=500, grad_tol=1e-8):
         raise ValueError("mollify_field expects a nodal (n1,n2,n3,3) field")
     wn = np.einsum("i,j,k->ijk", grid.w1, grid.w2, grid.w3)
     inv_mass = 1.0 / wn[..., None]
-    v, run = optimize.lbfgs(
-        lambda u: mollifier_objective(u, d, grid, eps, tau, q_h),
-        lambda u: _mollifier_gradient(u, d, grid, eps, tau, q_h),
+    v, (_, _, H), run = optimize.lbfgs(
+        lambda u: _mollifier_evaluation(u, d, grid, eps, tau, q_h),
+        lambda state: _mollifier_gradient(state, d, grid, eps, tau, q_h),
         d,
         lambda u: inv_mass * u,
         max_iter=iters,
         grad_tol=grad_tol,
     )
     l2 = float(np.sqrt(np.sum(wn[..., None] * (v - d) ** 2)))
-    H = fields.scaled_hessian(v, grid, 1.0)
     semi = fields.integrate3(np.sum(H * H, axis=(-3, -2, -1)) ** (q_h / 2.0), grid) ** (1.0 / q_h)
     info = {
         "iters": run["iters"],

@@ -225,10 +225,12 @@ def test_solve3d_first_row_matches_full_F_eps():
     eps = 0.25
     mat = Material()
     y_init = flat_deformation(grid, eps)
-    _, _, history, _ = solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-11, max_iters=1)
+    y1, _, history, _ = solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-11, max_iters=1)
     y0 = fields.zero_mean_project(y_init, grid)
     phi1 = electro3d.solve_potential3(electro3d.assemble_poisson3(y0, grid, eps, mat), tol=1e-11)
     assert history[0, 0] == F_eps(y0, phi1, grid, eps, mat)
+    # the accepted deformation is the trial the line search evaluated
+    assert history[0, 3] > 0.0 and history[0, 1] == F_eps(y1, phi1, grid, eps, mat)
     probe = saddle_probe(
         lambda _y, p: F_eps(y0, p, grid, eps, mat),
         (y0, phi1),
@@ -254,6 +256,24 @@ def test_solve3d_first_row_pg0_matches_check_pg0():
     y0 = fields.zero_mean_project(y_init, grid)
     phi1 = electro3d.solve_potential3(electro3d.assemble_poisson3(y0, grid, eps, mat), tol=1e-11)
     assert history[0, 4] == electro3d.check_pg0(y0, phi1, grid, eps, mat)
+
+
+def test_solve3d_line_search_failure_records_zero_step(monkeypatch):
+    # every deformation trial is infinite, so the first line search fails:
+    # the run stops with one zero-step row at the projected start
+    from thinvolt import elastic3d, fields
+    from thinvolt.elastic3d import flat_deformation
+
+    grid = Grid3(5, 5, 4)
+    eps = 0.25
+    mat = Material()
+    y_init = flat_deformation(grid, eps)
+    monkeypatch.setattr(elastic3d, "F_eps", lambda *args: np.inf)
+    y, _, history, converged = solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-11, max_iters=5)
+    assert history.shape == (1, 6)
+    assert history[0, 3] == 0.0 and history[0, 1] == history[0, 0]
+    assert not converged and _termination(converged, history) == "line_search"
+    assert np.array_equal(y, fields.zero_mean_project(y_init, grid))
 
 
 def test_solve3d_termination_reasons():

@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from thinvolt.optimize import lbfgs
+from thinvolt.optimize import MAX_BACKTRACKS, backtrack, lbfgs
 
 
 def _quadratic(n=40, seed=3):
@@ -8,7 +9,8 @@ def _quadratic(n=40, seed=3):
 
     A = D + C with D a lumped mass spanning four decades and C a small
     symmetric positive semidefinite coupling, so 1 / D is the natural
-    metric and plain gradient steps stall.
+    metric and plain gradient steps stall. fun returns (f, x): the state a
+    gradient of f needs is the point itself.
     """
     rng = np.random.default_rng(seed)
     mass = np.logspace(-5, -1, n)[:, None] * np.ones((1, 3))
@@ -18,7 +20,7 @@ def _quadratic(n=40, seed=3):
     calls = {"grad": 0}
 
     def fun(x):
-        return 0.5 * x.ravel() @ A @ x.ravel() - b.ravel() @ x.ravel()
+        return 0.5 * x.ravel() @ A @ x.ravel() - b.ravel() @ x.ravel(), x
 
     def grad(x):
         calls["grad"] += 1
@@ -31,7 +33,7 @@ def _quadratic(n=40, seed=3):
 def test_lbfgs_converges_on_metric_scaled_quadratic():
     fun, grad, inv_metric, x_star, calls = _quadratic()
     x0 = np.zeros_like(x_star)
-    x, info = lbfgs(fun, grad, x0, lambda v: inv_metric * v, max_iter=500, grad_tol=1e-10)
+    x, _, info = lbfgs(fun, grad, x0, lambda v: inv_metric * v, max_iter=500, grad_tol=1e-10)
     assert info["converged"] and info["stop"] == "converged"
     assert info["grad_norm"] <= 1e-10
     assert info["grad_norm"] == np.linalg.norm(grad(x))
@@ -39,14 +41,14 @@ def test_lbfgs_converges_on_metric_scaled_quadratic():
     assert np.max(np.abs(x - x_star)) < 1e-6 * np.max(np.abs(x_star))
     assert np.all(x0 == 0.0)  # the start is not modified
     objectives = info["objectives"]
-    assert objectives[0] == fun(x0) and objectives[-1] == info["objective"] == fun(x)
+    assert objectives[0] == fun(x0)[0] and objectives[-1] == info["objective"] == fun(x)[0]
     assert all(b <= a for a, b in zip(objectives, objectives[1:]))
     assert len(objectives) == info["iters"]  # one accepted step per iteration but the last
     assert len(info["grad_norms"]) == info["iters"] and info["grad_norms"][-1] == info["grad_norm"]
     assert len(info["steps"]) == len(objectives) - 1
     assert all(0.0 < t <= 1.0 for t in info["steps"])
     # the metric is what makes the budget suffice
-    _, plain = lbfgs(fun, grad, x0, lambda v: v, max_iter=500, grad_tol=1e-10)
+    _, _, plain = lbfgs(fun, grad, x0, lambda v: v, max_iter=500, grad_tol=1e-10)
     assert not plain["converged"]
 
 
@@ -59,7 +61,7 @@ def test_lbfgs_dense_exact_inverse_hessian_metric_takes_one_newton_step():
     A = np.column_stack([grad(u.reshape(x0.shape)).ravel() - g0 for u in units])
     A_inv = np.linalg.inv(0.5 * (A + A.T))
     calls["grad"] = 0
-    x, info = lbfgs(fun, grad, x0, lambda v: (A_inv @ v.ravel()).reshape(v.shape), max_iter=50, grad_tol=1e-10)
+    x, _, info = lbfgs(fun, grad, x0, lambda v: (A_inv @ v.ravel()).reshape(v.shape), max_iter=50, grad_tol=1e-10)
     assert info["converged"]
     assert info["iters"] == calls["grad"] <= 2
     assert info["steps"] == [1.0]
@@ -67,7 +69,7 @@ def test_lbfgs_dense_exact_inverse_hessian_metric_takes_one_newton_step():
 
 def test_lbfgs_iteration_cap_reports_not_converged():
     fun, grad, inv_metric, x_star, calls = _quadratic()
-    x, info = lbfgs(fun, grad, np.zeros_like(x_star), lambda v: inv_metric * v, max_iter=3, grad_tol=1e-10)
+    x, _, info = lbfgs(fun, grad, np.zeros_like(x_star), lambda v: inv_metric * v, max_iter=3, grad_tol=1e-10)
     assert not info["converged"] and info["stop"] == "max_iters"
     assert info["iters"] == calls["grad"] == 3
     # the reported norm is the gradient at the returned point
@@ -81,13 +83,13 @@ def test_lbfgs_stops_when_no_step_decreases():
     x0 = np.ones_like(x_star)
 
     def walled(x):
-        return fun(x) if np.array_equal(x, x0) else np.inf
+        return fun(x) if np.array_equal(x, x0) else (np.inf, x)
 
-    x, info = lbfgs(walled, grad, x0, lambda v: inv_metric * v, max_iter=50, grad_tol=1e-10)
+    x, _, info = lbfgs(walled, grad, x0, lambda v: inv_metric * v, max_iter=50, grad_tol=1e-10)
     assert not info["converged"] and info["stop"] == "line_search"
     assert info["iters"] == calls["grad"] == 1
     assert np.array_equal(x, x0)
-    assert info["objectives"] == [fun(x0)]
+    assert info["objectives"] == [fun(x0)[0]]
     assert len(info["grad_norms"]) == 1 and info["steps"] == []
 
 
@@ -106,11 +108,95 @@ def test_lbfgs_falls_back_to_metric_gradient_step():
         p = -inv_metric * last["g"]
         dx = x - last["x"]
         t = np.vdot(dx, p) / np.vdot(p, p)
-        return fun(x) if np.linalg.norm(dx - t * p) <= 1e-12 * np.linalg.norm(dx) else np.inf
+        return fun(x) if np.linalg.norm(dx - t * p) <= 1e-12 * np.linalg.norm(dx) else (np.inf, x)
 
     x0 = np.zeros_like(x_star)
     last["x"], last["g"] = x0, grad(x0)
-    x, info = lbfgs(ray_only, tracked_grad, x0, lambda v: inv_metric * v, max_iter=6, grad_tol=1e-10)
+    x, _, info = lbfgs(ray_only, tracked_grad, x0, lambda v: inv_metric * v, max_iter=6, grad_tol=1e-10)
     objectives = info["objectives"]
     assert len(objectives) == 6
     assert all(b < a for a, b in zip(objectives, objectives[1:]))
+
+
+def _recording(fun):
+    """fun with a fresh state object per evaluation, logged in call order."""
+    log = []
+
+    def recorded(x):
+        f, _ = fun(x)
+        state = {"x": x.copy(), "f": f}
+        log.append(("eval", state))
+        return f, state
+
+    return recorded, log
+
+
+def test_lbfgs_grad_sees_only_accepted_states():
+    # an oversized metric makes the first line searches halve, so some
+    # evaluations are rejected; grad must only see the state of the point
+    # each search accepted, which is the last evaluation before it
+    fun, grad, inv_metric, x_star, _ = _quadratic()
+    recorded, log = _recording(fun)
+
+    def logged_grad(state):
+        log.append(("grad", state))
+        return grad(state["x"])
+
+    _, _, info = lbfgs(recorded, logged_grad, np.zeros_like(x_star), lambda v: 1e3 * inv_metric * v, max_iter=40, grad_tol=1e-10)
+    grads = [k for k, (kind, _) in enumerate(log) if kind == "grad"]
+    assert len(grads) == info["iters"]
+    evaluated = [state["x"].tobytes() for kind, state in log if kind == "eval"]
+    assert len(evaluated) > len(info["objectives"])  # some trials were rejected
+    assert len(set(evaluated)) == len(evaluated)  # no point is evaluated twice
+    for k, at in enumerate(grads):
+        kind, state = log[at - 1]
+        assert kind == "eval" and log[at][1] is state
+        assert state["f"] == info["objectives"][k]
+
+
+def test_lbfgs_returned_state_belongs_to_returned_point():
+    fun, grad, inv_metric, x_star, _ = _quadratic()
+    recorded, _ = _recording(fun)
+    x0 = np.ones_like(x_star)
+
+    def walled(x):
+        return recorded(x) if np.array_equal(x, x0) else (np.inf, {"x": x.copy(), "f": np.inf})
+
+    runs = {
+        "converged": (recorded, np.zeros_like(x_star), 500),
+        "max_iters": (recorded, np.zeros_like(x_star), 3),
+        "line_search": (walled, x0, 50),
+    }
+    for stop, (f, start, cap) in runs.items():
+        x, state, info = lbfgs(f, lambda st: grad(st["x"]), start, lambda v: inv_metric * v, max_iter=cap, grad_tol=1e-10)
+        assert info["stop"] == stop
+        assert np.array_equal(state["x"], x)
+        assert state["f"] == info["objective"]
+
+
+def test_backtrack_returns_accepted_trial_state():
+    # f = |x|^2 from x = 1 along p = -4: t = 1 and t = 1/2 fail, t = 1/4 lands on 0
+    seen = []
+
+    def fun(x):
+        seen.append(x.copy())
+        return float(np.sum(x * x)), ("state", x.copy())
+
+    x = np.array([1.0])
+    x_new, f_new, state, t = backtrack(fun, x, 1.0, 2.0 * x, np.array([-4.0]))
+    assert t == 0.25 and f_new == 0.0
+    assert np.array_equal(x_new, [0.0]) and np.array_equal(state[1], x_new)
+    assert len(seen) == 3
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_backtrack_gives_up_on_non_finite_trials(bad):
+    calls = []
+
+    def fun(x):
+        calls.append(x)
+        return bad, x
+
+    x = np.array([1.0, -2.0])
+    assert backtrack(fun, x, 0.0, x, -x) is None
+    assert len(calls) == MAX_BACKTRACKS

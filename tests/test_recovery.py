@@ -213,6 +213,36 @@ def test_mollifier_converges_on_criterion_10_field():
         assert info["objective"] < mollifier_objective(field, field, grid3, eps, 0.5 * qh, qh)
 
 
+def test_mollifier_takes_derivatives_once_per_evaluation(monkeypatch):
+    # criterion 10's field: the gradient and the seminorm reuse the Hessian
+    # and gradient each objective evaluation took, so no field is
+    # differentiated twice
+    from thinvolt import optimize, recovery
+
+    grid3 = Grid3(17, 17, 9)
+    d = np.zeros(grid3.shape + (3,))
+    d[..., 2] = 0.1 * np.sin(np.pi * grid3.x1)[:, None, None]
+    calls = {"hessian": 0, "gradient": 0, "evaluation": 0, "mollifier_gradient": 0}
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(fields, "scaled_hessian", counted("hessian", fields.scaled_hessian))
+    monkeypatch.setattr(fields, "scaled_gradient", counted("gradient", fields.scaled_gradient))
+    lbfgs = optimize.lbfgs
+    monkeypatch.setattr(optimize, "lbfgs", lambda fun, *args, **kwargs: lbfgs(counted("evaluation", fun), *args, **kwargs))
+    monkeypatch.setattr(recovery, "_mollifier_gradient", counted("mollifier_gradient", recovery._mollifier_gradient))
+    v, info = mollify_field(d, grid3, 0.25, q_h=4.0)
+    assert info["converged"]
+    assert calls["evaluation"] > info["iters"]
+    assert calls["hessian"] == calls["gradient"] == calls["evaluation"]
+    assert calls["mollifier_gradient"] == info["iters"]
+
+
 def test_mollifier_iteration_cap_is_reported():
     grid3 = Grid3(9, 7, 5)
     d = np.zeros(grid3.shape + (3,))
