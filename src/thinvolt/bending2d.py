@@ -6,13 +6,14 @@ curvature tensor is diag(theta', 0), and the attached orthonormal frame
 carries the permittivity reduction. The potential solves a 2D pure-Neumann
 problem with the reduced in-plane permittivity through the same Q1 system as
 the 3D one (electro3d.PoissonSystem: cell-center coefficient, 2x2 Gauss
-quadratic terms, center-rule charge).
+quadratic terms, center-rule charge); E0 and check_virial are that system's
+energy_parts, as in 3D.
 """
 
 import numpy as np
 
 from . import fields, optimize
-from .electro3d import PoissonSystem, charge_load, electrostatic_energy, energy_parts, weak_form_residual
+from .electro3d import PoissonSystem, charge_load, electrostatic_energy, weak_form_residual
 from .relaxation import RelaxedQ2, effective_permittivity
 
 __all__ = [
@@ -195,8 +196,7 @@ def solve_potential2(y0, mat, tol=1e-10, max_iter=None):
 
 def E0(y0, phi, mat):
     """Effective electrostatic energy (beta/2) int Keff grad'phi . grad'phi - gamma int nbar phi."""
-    parts = energy_parts(*_potential_coefficients(y0, mat), y0.grid)
-    return electrostatic_energy(*parts(phi), mat.coupling)
+    return electrostatic_energy(*assemble_poisson2(y0, mat).energy_parts(phi))
 
 
 def F0(y0, phi, mat, rq=None):
@@ -208,8 +208,7 @@ def F0(y0, phi, mat, rq=None):
 
 def check_virial(y0, phi, mat):
     """Relative residual of the weak-form identity at a solved potential."""
-    parts = energy_parts(*_potential_coefficients(y0, mat), y0.grid)
-    return weak_form_residual(*parts(phi), mat.coupling)
+    return weak_form_residual(*assemble_poisson2(y0, mat).energy_parts(phi))
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,12 @@ permittivity pulled back through the current deformation, evaluated once per
 cell at the cell center. The quadratic form is integrated with the 2x2x2
 Gauss rule per cell (full rank on each cell, so the operator kernel is
 exactly the constants), while charge moments use the cell-center rule. The
-electrostatic energy evaluator uses the same two rules, which makes the
-discrete weak-form identity hold to solver precision. PoissonSystem and
-charge_load are dimension-generic; the 2D midsurface potential of bending2d
-is built from them too.
+electrostatic energy is the assembled system's own quadratic form and load
+pairing (PoissonSystem.energy_parts), so the discrete weak-form identity
+holds to solver precision and every energy and residual evaluator, in 2D and
+3D, computes the same numbers. PoissonSystem and charge_load are
+dimension-generic; the 2D midsurface potential of bending2d is built from
+them too.
 """
 
 import itertools
@@ -21,7 +23,7 @@ from .cg import SolverError, pcg
 from .material import kappa_pullback
 from .smallmat import det3
 
-__all__ = ["PoissonSystem", "PoissonSystem3", "charge_load", "assemble_poisson3", "solve_potential3", "energy_parts", "dielectric_parts", "electrostatic_energy", "weak_form_residual", "E_eps", "check_pg0", "SolverError"]
+__all__ = ["PoissonSystem", "PoissonSystem3", "charge_load", "assemble_poisson3", "solve_potential3", "electrostatic_energy", "weak_form_residual", "E_eps", "check_pg0", "SolverError"]
 
 
 def _orientation_check(F, grid):
@@ -90,6 +92,22 @@ class PoissonSystem:
             y[d:] += s * x[:-d]
         return y.reshape(self.grid.shape)
 
+    def energy_parts(self, phi):
+        """(phi^T K phi, b_raw^T phi): the dielectric quadratic term times beta and the charge moment times gamma.
+
+        The quadratic form is summed in edge-difference form,
+        -sum over the stored offsets (d, s) of s * (x[:-d] - x[d:])^2, which is
+        exact because K's kernel is the constants. It never forms the
+        diagonal, so it keeps none of the cancellation between diagonal and
+        off-diagonal terms that phi . apply(phi) carries on thin plates.
+        """
+        x = np.ravel(phi)
+        quad = 0.0
+        for d, s in self._shifts:
+            e = x[:-d] - x[d:]
+            quad -= float(np.dot(s, e * e))
+        return quad, float(np.dot(self.b_raw.ravel(), x))
+
     def matvec(self, x):
         return self.apply(x.reshape(self.grid.shape)).ravel()
 
@@ -153,26 +171,17 @@ def charge_load(density, grid, gamma):
     return fields.corner_scatter(U, grid)
 
 
-def _pulled_back(y, grid, eps, mat):
-    """Cellwise (kappa, density) at y: scaled gradient, orientation check and pullback run once."""
-    F = fields.scaled_gradient(y, grid, eps)
-    _orientation_check(F, grid)
-    return kappa_pullback(F, mat.permittivity.k), mat.charge.n_ch(grid.c1)[:, None, None]
-
-
 def assemble_poisson3(y, grid, eps, mat):
     """Build the potential system for a nodal deformation y.
 
     Rejects deformations with a nonpositive cell determinant, reporting the
     offending cell. beta sits on the stiffness side and gamma on the load.
-    system.energy_parts is energy_parts on the same pulled-back permittivity,
-    so a caller that assembles needs no dielectric_parts at the same y.
     """
-    kappa, density = _pulled_back(y, grid, eps, mat)
-    load = charge_load(density, grid, mat.coupling.gamma)
-    system = PoissonSystem3(grid, mat.coupling.beta * kappa, load, eps)
-    system.energy_parts = energy_parts(kappa, density, grid, eps)
-    return system
+    F = fields.scaled_gradient(y, grid, eps)
+    _orientation_check(F, grid)
+    coef = mat.coupling.beta * kappa_pullback(F, mat.permittivity.k)
+    load = charge_load(mat.charge.n_ch(grid.c1)[:, None, None], grid, mat.coupling.gamma)
+    return PoissonSystem3(grid, coef, load, eps)
 
 
 def solve_potential3(system, tol=1e-10, x0=None, max_iter=None):
@@ -183,43 +192,19 @@ def solve_potential3(system, tol=1e-10, x0=None, max_iter=None):
     return system.solve(tol=tol, x0=x0, max_iter=max_iter, precond=system.precondition)
 
 
-def energy_parts(kappa, density, grid, eps=1.0):
-    """Dielectric quadratic term and charge moment as a function of the potential, in 2D and 3D.
-
-    kappa is the cellwise permittivity and density the cellwise charge density
-    (broadcastable to grid.cshape); the callable maps phi to (quad, moment)
-    with the assembly quadratures, reusing the coefficients for every phi.
-    """
-    measure = math.prod(grid.spacing)
-
-    def parts(phi):
-        quad = float(np.sum(kappa * fields.gradient_second_moments(phi, grid, eps)))
-        phibar = fields.corner_gather(phi, grid).mean(axis=-1)
-        return quad, measure * float(np.sum(density * phibar))
-
-    return parts
+def electrostatic_energy(quad, moment):
+    """quad/2 - moment: the electrostatic energy from the scaled pair of PoissonSystem.energy_parts."""
+    return 0.5 * quad - moment
 
 
-def dielectric_parts(y, grid, eps, mat):
-    """energy_parts at the deformation y, for callers that do not assemble there."""
-    return energy_parts(*_pulled_back(y, grid, eps, mat), grid, eps)
-
-
-def electrostatic_energy(quad, moment, coupling):
-    """(beta/2) quad - gamma moment: the electrostatic energy from its two parts."""
-    return 0.5 * coupling.beta * quad - coupling.gamma * moment
-
-
-def weak_form_residual(quad, moment, coupling):
-    """|beta quad - gamma moment| / (1 + |gamma moment|): the weak-form identity residual."""
-    lhs = coupling.beta * quad
-    rhs = coupling.gamma * moment
-    return abs(lhs - rhs) / (1.0 + abs(rhs))
+def weak_form_residual(quad, moment):
+    """|quad - moment| / (1 + |moment|): the weak-form identity residual of the scaled pair."""
+    return abs(quad - moment) / (1.0 + abs(moment))
 
 
 def E_eps(y, phi, grid, eps, mat):
     """Scaled electrostatic energy (beta/2) int kappa grad phi . grad phi - gamma int n phi."""
-    return electrostatic_energy(*dielectric_parts(y, grid, eps, mat)(phi), mat.coupling)
+    return electrostatic_energy(*assemble_poisson3(y, grid, eps, mat).energy_parts(phi))
 
 
 def check_pg0(y, phi, grid, eps, mat):
@@ -229,4 +214,4 @@ def check_pg0(y, phi, grid, eps, mat):
     1 + |gamma int n phi|. Zero-mean test functions make both sides equal at
     the exact discrete solution, so this measures solver quality.
     """
-    return weak_form_residual(*dielectric_parts(y, grid, eps, mat)(phi), mat.coupling)
+    return weak_form_residual(*assemble_poisson3(y, grid, eps, mat).energy_parts(phi))

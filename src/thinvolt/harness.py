@@ -324,7 +324,10 @@ def solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-10, grad_tol=1e-7
     if rng is None:
         rng = np.random.default_rng(0)
     y = fields.zero_mean_project(np.asarray(y_init, dtype=float), grid)
-    if not np.isfinite(elastic3d.M_eps(y, grid, eps, mat)):
+    # M_eps is evaluated once per point: here, then in each trial, whose
+    # state carries it to the next iterate
+    m_y = elastic3d.M_eps(y, grid, eps, mat)
+    if not np.isfinite(m_y):
         raise ValueError("solve3d_alternating: infeasible initial deformation")
     history = []
     converged = False
@@ -333,19 +336,20 @@ def solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-10, grad_tol=1e-7
     for _ in range(int(max_iters)):
         system = electro3d.assemble_poisson3(y, grid, eps, mat)
         phi = electro3d.solve_potential3(system, tol=poisson_tol, x0=phi)
-        # F_eps = M_eps - E_eps with M_eps and the dielectric y-factors
-        # independent of phi: the phi-side evaluations reuse one M_eps and the
-        # system's dielectric parts per iterate
-        parts = system.energy_parts
-        quad, moment = parts(phi)
-        pg0 = electro3d.weak_form_residual(quad, moment, mat.coupling)
-        m_y = elastic3d.M_eps(y, grid, eps, mat)
+        # F_eps = M_eps - E_eps with M_eps and the assembled system
+        # independent of phi: the phi-side evaluations are quadratic forms of
+        # the iterate's system next to one M_eps
+        parts = system.energy_parts(phi)
+        pg0 = electro3d.weak_form_residual(*parts)
 
         def F_frozen_y(_y, p):
-            return m_y - electro3d.electrostatic_energy(*parts(p), mat.coupling)
+            return m_y - electro3d.electrostatic_energy(*system.energy_parts(p))
 
-        f_phi = m_y - electro3d.electrostatic_energy(quad, moment, mat.coupling)
+        f_phi = m_y - electro3d.electrostatic_energy(*parts)
         probe = saddle_probe(F_frozen_y, (y, phi), n_probes=probe_count, radius=probe_radius, rng=rng, sides=("phi",))
+        # the gradient and the line search need no system, and each trial's
+        # E_eps assembles its own: dropping this one keeps one alive at a time
+        del system
         g = elastic3d.grad_y_F_eps(y, phi, grid, eps, mat)
         gnorm = float(np.linalg.norm(g))
         if gnorm <= grad_tol:
@@ -355,14 +359,17 @@ def solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-10, grad_tol=1e-7
         step = min(4.0 * step, 1e3)
 
         def trial(c):
+            # F_eps(c, phi), keeping M_eps(c) for the next iterate
             c = fields.zero_mean_project(c, grid)
-            return elastic3d.F_eps(c, phi, grid, eps, mat), c
+            m = elastic3d.M_eps(c, grid, eps, mat)
+            f = m - electro3d.E_eps(c, phi, grid, eps, mat) if np.isfinite(m) else np.inf
+            return f, (c, m)
 
         found = optimize.backtrack(trial, y, f_phi, g, -step * g)
         if found is None:
             history.append((f_phi, f_phi, gnorm, 0.0, pg0, probe["phi_side"]))
             break
-        _, f_y, y, t = found
+        _, f_y, (y, m_y), t = found
         step *= t
         history.append((f_phi, f_y, gnorm, step, pg0, probe["phi_side"]))
     system = electro3d.assemble_poisson3(y, grid, eps, mat)

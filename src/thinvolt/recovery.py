@@ -318,12 +318,12 @@ def recovery_sweep(inputs, mat, grid, eps_list, use_mollifier=False, solver_tol=
         except (ValueError, electro3d.SolverError) as exc:
             row.reason = f"{type(exc).__name__}: {exc}"
             continue
-        quad, moment = system.energy_parts(phi)
+        parts = system.energy_parts(phi)
         dist2, pw_norm, min_det = elastic3d.apriori_report(y, phi, grid, eps, mat)
         row.Mel_scaled = mel
         row.hyper = hyp
         row.M_eps = mel + hyp
-        row.E_eps = electro3d.electrostatic_energy(quad, moment, mat.coupling)
+        row.E_eps = electro3d.electrostatic_energy(*parts)
         row.F_eps = row.M_eps - row.E_eps
         row.M0 = m0
         row.E0 = e0
@@ -331,6 +331,6 @@ def recovery_sweep(inputs, mat, grid, eps_list, use_mollifier=False, solver_tol=
         row.d2_ratio = dist2 / (eps * eps)
         row.pW_norm = pw_norm
         row.min_det = min_det
-        row.pg0_res = electro3d.weak_form_residual(quad, moment, mat.coupling)
+        row.pg0_res = electro3d.weak_form_residual(*parts)
         row.ok = True
     return rows

@@ -1,5 +1,8 @@
+import gc
 import itertools
+import math
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -10,8 +13,11 @@ from thinvolt.electro3d import (
     E_eps,
     PoissonSystem,
     assemble_poisson3,
+    charge_load,
     check_pg0,
+    electrostatic_energy,
     solve_potential3,
+    weak_form_residual,
 )
 from thinvolt.fields import Grid2, Grid3
 from thinvolt.harness import RunConfig
@@ -268,6 +274,76 @@ def test_energy_identity_at_solved_potential():
     for _ in range(10):
         dphi = 1e-3 * rng.standard_normal(grid.shape)
         assert E_eps(y, phi + dphi, grid, eps, mat) >= E - 1e-12
+
+
+def _gauss_parts(system, density, gamma, phi):
+    # reference: the Gauss-rule second moments against the coefficient, and
+    # the center-rule charge moment, cell by cell
+    grid = system.grid
+    quad = float(np.sum(system.coef * fields.gradient_second_moments(phi, grid, system.eps)))
+    phibar = fields.corner_gather(phi, grid).mean(axis=-1)
+    return quad, gamma * math.prod(grid.spacing) * float(np.sum(density * phibar))
+
+
+def _curved_system(dim):
+    rng = np.random.default_rng(23)
+    if dim == 2:
+        grid = Grid2(17, 9)
+        gamma = 0.8
+        B = rng.standard_normal(grid.cshape + (2, 2))
+        density = np.cos(np.pi * grid.c1)[:, None]
+        system = PoissonSystem(grid, 1.3 * (B @ np.swapaxes(B, -1, -2) + 0.5 * np.eye(2)), charge_load(density, grid, gamma))
+        return system, density, gamma, system.solve(tol=1e-12)
+    grid = Grid3(9, 7, 5)
+    eps = 1.0 / 32.0
+    mat = _material(k=np.diag([1.0, 1.0, 4.0]), beta=1.3, gamma=0.8)
+    y = _affine_y(grid, eps, np.eye(3) + 0.1 * rng.standard_normal((3, 3)))
+    system = assemble_poisson3(y, grid, eps, mat)
+    density = mat.charge.n_ch(grid.c1)[:, None, None]
+    return system, density, mat.coupling.gamma, solve_potential3(system, tol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [2, 3], ids=["grid2", "grid3"])
+def test_energy_parts_match_gauss_quadrature(dim):
+    # the edge-difference quadratic form and the load pairing are the Gauss
+    # and center rules of the assembly, at a random and at a solved potential
+    system, density, gamma, solved = _curved_system(dim)
+    rng = np.random.default_rng(24)
+    for phi in (rng.standard_normal(system.grid.shape), solved):
+        got = system.energy_parts(phi)
+        want = _gauss_parts(system, density, gamma, phi)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-12 * abs(w)
+    quad, moment = system.energy_parts(solved)
+    assert weak_form_residual(quad, moment) < 1e-10
+
+
+def test_energy_evaluators_are_the_assembled_quadratic_form():
+    grid = Grid3(9, 7, 5)
+    eps = 1.0 / 32.0
+    mat = _material(k=np.diag([1.0, 1.0, 4.0]), beta=1.3, gamma=0.8)
+    y = _affine_y(grid, eps, np.eye(3) + 0.1 * np.random.default_rng(25).standard_normal((3, 3)))
+    system = assemble_poisson3(y, grid, eps, mat)
+    phi = solve_potential3(system, tol=1e-12)
+    parts = system.energy_parts(phi)
+    assert E_eps(y, phi, grid, eps, mat) == electrostatic_energy(*parts)
+    assert check_pg0(y, phi, grid, eps, mat) == weak_form_residual(*parts)
+
+
+def test_assembled_system_is_freed_without_cyclic_gc():
+    # a system that refers to itself (say, through a closure stored on it)
+    # lives until the cyclic collector runs, which holds every iterate's
+    # assembly at once and raises the peak memory of a solve
+    grid = Grid3(5, 5, 4)
+    eps = 0.25
+    system = assemble_poisson3(_flat_y(grid, eps), grid, eps, _material())
+    ref = weakref.ref(system)
+    gc.disable()
+    try:
+        del system
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_gradient_second_moments_consistency():

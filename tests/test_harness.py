@@ -243,7 +243,7 @@ def test_solve3d_first_row_matches_full_F_eps():
 
 
 def test_solve3d_first_row_pg0_matches_check_pg0():
-    # pg0 and f_phi share one dielectric_parts evaluation per iterate; the
+    # pg0 and f_phi share one energy_parts evaluation per iterate; the
     # residual must be bit-identical to a full check_pg0 call
     from thinvolt import electro3d, fields
     from thinvolt.elastic3d import flat_deformation
@@ -261,19 +261,49 @@ def test_solve3d_first_row_pg0_matches_check_pg0():
 def test_solve3d_line_search_failure_records_zero_step(monkeypatch):
     # every deformation trial is infinite, so the first line search fails:
     # the run stops with one zero-step row at the projected start
-    from thinvolt import elastic3d, fields
+    from thinvolt import electro3d, fields
     from thinvolt.elastic3d import flat_deformation
 
     grid = Grid3(5, 5, 4)
     eps = 0.25
     mat = Material()
     y_init = flat_deformation(grid, eps)
-    monkeypatch.setattr(elastic3d, "F_eps", lambda *args: np.inf)
+    # a trial is M_eps - E_eps, so E_eps = -inf makes every trial +inf
+    monkeypatch.setattr(electro3d, "E_eps", lambda *args: -np.inf)
     y, _, history, converged = solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-11, max_iters=5)
     assert history.shape == (1, 6)
     assert history[0, 3] == 0.0 and history[0, 1] == history[0, 0]
     assert not converged and _termination(converged, history) == "line_search"
     assert np.array_equal(y, fields.zero_mean_project(y_init, grid))
+
+
+def test_solve3d_evaluates_M_eps_once_per_point(monkeypatch):
+    # the start is evaluated once, each trial once, and the accepted trial's
+    # value serves the next iterate: M_eps calls = 1 + line-search trials
+    from thinvolt import elastic3d, optimize
+    from thinvolt.elastic3d import flat_deformation
+
+    calls = {"M_eps": 0, "trials": 0}
+    M_eps, backtrack = elastic3d.M_eps, optimize.backtrack
+
+    def counted_M_eps(*args):
+        calls["M_eps"] += 1
+        return M_eps(*args)
+
+    def counted_backtrack(fun, *args):
+        def counted_fun(c):
+            calls["trials"] += 1
+            return fun(c)
+
+        return backtrack(counted_fun, *args)
+
+    monkeypatch.setattr(elastic3d, "M_eps", counted_M_eps)
+    monkeypatch.setattr(optimize, "backtrack", counted_backtrack)
+    grid = Grid3(5, 5, 4)
+    eps = 0.25
+    _, _, history, _ = solve3d_alternating(grid, eps, Material(), flat_deformation(grid, eps), poisson_tol=1e-11, max_iters=4)
+    assert history.shape[0] == 4 and calls["trials"] >= 4
+    assert calls["M_eps"] == 1 + calls["trials"]
 
 
 def test_solve3d_termination_reasons():
