@@ -57,37 +57,37 @@ def _prestrain_cells(grid, eps, mat, z):
     return np.broadcast_to(inv3(M), shape + (3, 3)), np.broadcast_to(detM, shape)
 
 
-def _elastic_integral(y, grid, eps, mat):
-    """Two-point thickness quadrature of W(grad_eps y M^-1) det M; nan-safe."""
-    total = 0.0
+def _gauss_points(y, grid, eps, mat):
+    """Yield (w, z, F M^-1, M^-1, det M) per thickness Gauss point, F = grad_eps y at (0.5, 0.5, z)."""
     for z, w in zip(_Z_GAUSS, _W_GAUSS):
-        F = fields.scaled_gradient(y, grid, eps, point=(0.5, 0.5, z))
         Minv, detM = _prestrain_cells(grid, eps, mat, z)
-        Wd = W_el(F @ Minv, mat.elastic)
+        yield w, z, fields.scaled_gradient(y, grid, eps, point=(0.5, 0.5, z)) @ Minv, Minv, detM
+
+
+def _integrals(y, grid, eps, mat):
+    """(elastic, hyper) integrals of M_eps before its eps^-2; (inf, inf) where W is not finite."""
+    elastic = 0.0
+    for w, _, arg, _, detM in _gauss_points(y, grid, eps, mat):
+        Wd = W_el(arg, mat.elastic)
         if not np.all(np.isfinite(Wd)):
-            return np.inf
-        total += w * fields.integrate3(Wd * detM, grid)
-    return total
+            return np.inf, np.inf
+        elastic += w * fields.integrate3(Wd * detM, grid)
+    G = fields.scaled_hessian(y, grid, eps)
+    return elastic, fields.integrate3(H_hyper(G, eps, mat.hyper), grid)
 
 
 def M_eps(y, grid, eps, mat):
     """Scaled mechanical energy; +inf if the prestrain-adjusted gradient loses orientation."""
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    elastic = _elastic_integral(y, grid, eps, mat)
-    if not np.isfinite(elastic):
-        return np.inf
-    G = fields.scaled_hessian(y, grid, eps)
-    hyper = fields.integrate3(H_hyper(G, eps, mat.hyper), grid)
+    elastic, hyper = _integrals(y, grid, eps, mat)
     return (elastic + hyper) / (eps * eps)
 
 
 def M_eps_parts(y, grid, eps, mat):
-    """(elastic, hyper) parts of M_eps, both already carrying the eps^-2 factor."""
-    elastic = _elastic_integral(y, grid, eps, mat) / (eps * eps)
-    G = fields.scaled_hessian(y, grid, eps)
-    hyper = fields.integrate3(H_hyper(G, eps, mat.hyper), grid) / (eps * eps)
-    return elastic, hyper
+    """(elastic, hyper) parts of M_eps, both already carrying the eps^-2 factor; both +inf where M_eps is."""
+    elastic, hyper = _integrals(y, grid, eps, mat)
+    return elastic / (eps * eps), hyper / (eps * eps)
 
 
 def grad_M_eps(y, grid, eps, mat):
@@ -98,10 +98,7 @@ def grad_M_eps(y, grid, eps, mat):
     """
     scale = grid.cell_volume / (eps * eps)
     g = None
-    for z, w in zip(_Z_GAUSS, _W_GAUSS):
-        F = fields.scaled_gradient(y, grid, eps, point=(0.5, 0.5, z))
-        Minv, detM = _prestrain_cells(grid, eps, mat, z)
-        arg = F @ Minv
+    for w, z, arg, Minv, detM in _gauss_points(y, grid, eps, mat):
         if np.min(det3(arg)) <= 0.0:
             raise ValueError("grad_M_eps: energy is infinite at this deformation")
         S = dW_el(arg, mat.elastic) @ np.swapaxes(Minv, -1, -2) * (detM * w * scale)[..., None, None]

@@ -323,18 +323,21 @@ def solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-10, grad_tol=1e-7
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    y = fields.zero_mean_project(np.asarray(y_init, dtype=float), grid)
-    # M_eps is evaluated once per point: here, then in each trial, whose
-    # state carries it to the next iterate
-    m_y = elastic3d.M_eps(y, grid, eps, mat)
-    if not np.isfinite(m_y):
+
+    def evaluate(c):
+        # the one evaluation of a point: the start, or a trial whose accepted state is the next iterate's
+        c = fields.zero_mean_project(c, grid)
+        m = elastic3d.M_eps(c, grid, eps, mat)
+        return c, m, electro3d.assemble_poisson3(c, grid, eps, mat) if np.isfinite(m) else None
+
+    y, m_y, system = evaluate(y_init)
+    if system is None:
         raise ValueError("solve3d_alternating: infeasible initial deformation")
     history = []
     converged = False
     step = 1.0
     phi = None
     for _ in range(int(max_iters)):
-        system = electro3d.assemble_poisson3(y, grid, eps, mat)
         phi = electro3d.solve_potential3(system, tol=poisson_tol, x0=phi)
         # F_eps = M_eps - E_eps with M_eps and the assembled system
         # independent of phi: the phi-side evaluations are quadratic forms of
@@ -347,9 +350,9 @@ def solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-10, grad_tol=1e-7
 
         f_phi = m_y - electro3d.electrostatic_energy(*parts)
         probe = saddle_probe(F_frozen_y, (y, phi), n_probes=probe_count, radius=probe_radius, rng=rng, sides=("phi",))
-        # the gradient and the line search need no system, and each trial's
-        # E_eps assembles its own: dropping this one keeps one alive at a time
-        del system
+        # the gradient needs no system and each trial assembles its own:
+        # dropping this one (found holds it too) keeps one alive at a time
+        system = found = None
         g = elastic3d.grad_y_F_eps(y, phi, grid, eps, mat)
         gnorm = float(np.linalg.norm(g))
         if gnorm <= grad_tol:
@@ -359,20 +362,19 @@ def solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-10, grad_tol=1e-7
         step = min(4.0 * step, 1e3)
 
         def trial(c):
-            # F_eps(c, phi), keeping M_eps(c) for the next iterate
-            c = fields.zero_mean_project(c, grid)
-            m = elastic3d.M_eps(c, grid, eps, mat)
-            f = m - electro3d.E_eps(c, phi, grid, eps, mat) if np.isfinite(m) else np.inf
-            return f, (c, m)
+            c, m, system = evaluate(c)
+            f = m - electro3d.electrostatic_energy(*system.energy_parts(phi)) if system is not None else np.inf
+            return f, (c, m, system)
 
         found = optimize.backtrack(trial, y, f_phi, g, -step * g)
         if found is None:
             history.append((f_phi, f_phi, gnorm, 0.0, pg0, probe["phi_side"]))
             break
-        _, f_y, (y, m_y), t = found
+        _, f_y, (y, m_y, system), t = found
         step *= t
         history.append((f_phi, f_y, gnorm, step, pg0, probe["phi_side"]))
-    system = electro3d.assemble_poisson3(y, grid, eps, mat)
+    if system is None:
+        system = electro3d.assemble_poisson3(y, grid, eps, mat)
     phi = electro3d.solve_potential3(system, tol=poisson_tol, x0=phi)
     return y, phi, np.array(history), converged
 
@@ -449,16 +451,21 @@ def _cmd_solve3d(cfg, out_dir):
     d = optimal_corrector(inputs, grid3, rq)
     y_init = lift_deformation(inputs.isometry, eps, grid3, inputs.g_matrix, d)
     rng = np.random.default_rng(cfg.seed)
-    y, phi, history, converged = solve3d_alternating(
-        grid3,
-        eps,
-        mat,
-        y_init,
-        poisson_tol=cfg.poisson_tol,
-        grad_tol=cfg.grad_tol,
-        max_iters=cfg.max_iters,
-        rng=rng,
-    )
+    try:
+        y, phi, history, converged = solve3d_alternating(
+            grid3,
+            eps,
+            mat,
+            y_init,
+            poisson_tol=cfg.poisson_tol,
+            grad_tol=cfg.grad_tol,
+            max_iters=cfg.max_iters,
+            rng=rng,
+        )
+    except (ValueError, electro3d.SolverError) as exc:  # an infeasible start, or a potential solve that failed
+        summary = {"mode": "solve3d", "seed": cfg.seed, "eps": eps, "error": f"{type(exc).__name__}: {exc}", "pass": False}
+        _write_json(os.path.join(out_dir, "summary.json"), summary)
+        return 1
     header = ["F_after_phi", "F_after_y", "grad_norm", "step", "pg0_res", "phi_probe"]
     _write_csv(os.path.join(out_dir, "solve3d_history.csv"), header, history)
     worst_probe = float(max(h[5] for h in history))
@@ -602,7 +609,7 @@ def cli_main(argv=None):
         out_dir = args.out if args.out is not None else cfg.out_dir
         try:
             os.makedirs(out_dir, exist_ok=True)
-        except OSError as exc:  # e.g. --out names an existing file
+        except (OSError, ValueError) as exc:  # --out names an existing file, or the path holds a NUL
             raise ConfigError(f"cannot create output directory: {exc}")
         handler = {
             "sweep": _cmd_sweep,

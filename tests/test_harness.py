@@ -258,18 +258,27 @@ def test_solve3d_first_row_pg0_matches_check_pg0():
     assert history[0, 4] == electro3d.check_pg0(y0, phi1, grid, eps, mat)
 
 
+def _infinite_away_from_start(monkeypatch, grid, y_init):
+    # M_eps is +inf at every point but the projected start, so every
+    # line-search trial is +inf and the first search fails
+    from thinvolt import elastic3d, fields
+
+    start = fields.zero_mean_project(y_init, grid)
+    M_eps = elastic3d.M_eps
+    monkeypatch.setattr(elastic3d, "M_eps", lambda c, *args: M_eps(c, *args) if np.array_equal(c, start) else np.inf)
+
+
 def test_solve3d_line_search_failure_records_zero_step(monkeypatch):
     # every deformation trial is infinite, so the first line search fails:
     # the run stops with one zero-step row at the projected start
-    from thinvolt import electro3d, fields
+    from thinvolt import fields
     from thinvolt.elastic3d import flat_deformation
 
     grid = Grid3(5, 5, 4)
     eps = 0.25
     mat = Material()
     y_init = flat_deformation(grid, eps)
-    # a trial is M_eps - E_eps, so E_eps = -inf makes every trial +inf
-    monkeypatch.setattr(electro3d, "E_eps", lambda *args: -np.inf)
+    _infinite_away_from_start(monkeypatch, grid, y_init)
     y, _, history, converged = solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-11, max_iters=5)
     assert history.shape == (1, 6)
     assert history[0, 3] == 0.0 and history[0, 1] == history[0, 0]
@@ -306,6 +315,46 @@ def test_solve3d_evaluates_M_eps_once_per_point(monkeypatch):
     assert calls["M_eps"] == 1 + calls["trials"]
 
 
+@pytest.mark.parametrize("stop", ["converged", "max_iters", "line_search"])
+def test_solve3d_assembles_once_per_point(monkeypatch, stop):
+    # the start and each finite trial assemble one system, and the accepted
+    # trial's system serves the next iterate and, at the iteration cap, the
+    # final solve; the other exits dropped it before the gradient and
+    # assemble once more for the final solve
+    from thinvolt import electro3d, optimize
+    from thinvolt.elastic3d import flat_deformation
+
+    grid = Grid3(5, 5, 4)
+    eps = 0.25
+    mat = Material()
+    y_init = flat_deformation(grid, eps)
+    calls = {"assemble": 0, "finite_trials": 0}
+    assemble, backtrack = electro3d.assemble_poisson3, optimize.backtrack
+
+    def counted_assemble(*args):
+        calls["assemble"] += 1
+        return assemble(*args)
+
+    def counted_backtrack(fun, *args):
+        def counted_fun(c):
+            f, state = fun(c)
+            calls["finite_trials"] += bool(np.isfinite(f))
+            return f, state
+
+        return backtrack(counted_fun, *args)
+
+    monkeypatch.setattr(electro3d, "assemble_poisson3", counted_assemble)
+    monkeypatch.setattr(optimize, "backtrack", counted_backtrack)
+    if stop == "line_search":
+        _infinite_away_from_start(monkeypatch, grid, y_init)
+    grad_tol = 1e3 if stop == "converged" else 1e-7
+    y, phi, history, converged = solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-11, grad_tol=grad_tol, max_iters=4)
+    assert _termination(converged, history) == stop
+    assert calls["finite_trials"] >= (4 if stop == "max_iters" else 0)
+    assert calls["assemble"] == 1 + calls["finite_trials"] + (stop != "max_iters")
+    assert electro3d.check_pg0(y, phi, grid, eps, mat) <= 1e-8
+
+
 def test_solve3d_termination_reasons():
     accepted = np.array([[1.0, 0.9, 0.1, 0.5, 0.0, 0.0]])
     failed = np.array([[1.0, 1.0, 0.1, 0.0, 0.0, 0.0]])
@@ -337,6 +386,8 @@ def test_cli_config_errors(tmp_path):
     not_a_dir = tmp_path / "file"
     not_a_dir.write_text("")
     assert cli_main(["relax", "--config", cfgpath, "--out", str(not_a_dir)]) == 2
+    nul_dir = _write_config(tmp_path / "nul.json", extra={"output": {"dir": str(tmp_path / "bad\u0000dir")}})
+    assert cli_main(["relax", "--config", nul_dir]) == 2
 
 
 @pytest.mark.parametrize(
@@ -537,6 +588,28 @@ def test_cli_solve3d_reports_termination(tmp_path):
         assert summary["termination"] == want
         assert summary["converged"] == (want == "converged")
         assert summary["iterations"] == (max_iters if want == "max_iters" else 1)
+
+
+@pytest.mark.parametrize(
+    "extra, reason",
+    [
+        ({"isometry": {"kind": "cosine", "amplitude": 50.0}}, "infeasible initial deformation"),
+        ({"prestrain": {"B1": [[-20.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]}}, "prestrain factor loses orientation"),
+    ],
+    ids=["lifted-start", "prestrain-orientation"],
+)
+def test_cli_solve3d_infeasible_start_reports_error(tmp_path, capsys, extra, reason):
+    cfgpath = _write_config(
+        tmp_path / "cfg.json",
+        extra={"grid": {"n1": 5, "n2": 5, "n3": 4}, "eps": [0.25], "solver": {"max_iters": 3}, **extra},
+    )
+    out = tmp_path / "out"
+    assert cli_main(["solve3d", "--config", cfgpath, "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["pass"] is False and summary["mode"] == "solve3d"
+    assert summary["error"].startswith("ValueError: ") and reason in summary["error"]
+    assert not (out / "solve3d_history.csv").exists()
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_eps_override(tmp_path):
