@@ -40,11 +40,6 @@ def flat_deformation(grid, eps):
     return fields.zero_mean_project(y, grid)
 
 
-# through-thickness Gauss rule for the elastic term: local x3 points and weights
-_Z_GAUSS = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
-_W_GAUSS = (0.5, 0.5)
-
-
 def _prestrain_cells(grid, eps, mat, z):
     """(M^-1, det M) for M = I + eps B at the local x3 coordinate z of every cell."""
     t = grid.c3 + (z - 0.5) * grid.h3
@@ -59,7 +54,9 @@ def _prestrain_cells(grid, eps, mat, z):
 
 def _gauss_points(y, grid, eps, mat):
     """Yield (w, z, F M^-1, M^-1, det M) per thickness Gauss point, F = grad_eps y at (0.5, 0.5, z)."""
-    for z, w in zip(_Z_GAUSS, _W_GAUSS):
+    points = fields.gauss_points(1)
+    for (z,) in points:
+        w = 1.0 / len(points)
         Minv, detM = _prestrain_cells(grid, eps, mat, z)
         yield w, z, fields.scaled_gradient(y, grid, eps, point=(0.5, 0.5, z)) @ Minv, Minv, detM
 

@@ -18,7 +18,8 @@ the 3D plate and the 2D midsurface alike: the dimension is
 The discrete gradient at a cell point is the gradient of the cell's
 multilinear interpolant; second derivatives use nodal finite differences
 (one-sided at the boundary) averaged to cell centers. Both are exact on
-quadratic polynomials.
+quadratic polynomials. The 1D operators behind them, the Gauss rule and the
+trapezoid nodal measure are defined here once and cached per grid.
 """
 
 import functools
@@ -60,8 +61,9 @@ def _axes_weights(n, h):
 class _GridAxes:
     """Cell shape, per-axis spacing and cached operators, shared by Grid2 and Grid3.
 
-    The cache holds the 1D axis operators and the Q1 shape gradients, both
-    pure functions of the grid and their key.
+    The cache holds the 1D axis operators, the Q1 shape gradients, the
+    nodal measure and the gauge weights, all pure functions of the grid
+    and their key.
     """
 
     @property
@@ -79,8 +81,12 @@ class _GridAxes:
         return value
 
     def axis_ops(self, axis):
-        """Cached 1D difference/averaging matrices for this axis."""
+        """Cached 1D operators for this axis: the nodal derivative "D1" and the cell-derivative table "cell"."""
         return self._cached(("axis", axis), lambda: _make_axis_ops(self.shape[axis], self.spacing[axis]))
+
+    def node_measure(self):
+        """Cached read-only trapezoid nodal measure: the outer product of the per-axis weights."""
+        return self._cached("node_measure", lambda: _read_only(functools.reduce(np.multiply.outer, map(_axes_weights, self.shape, self.spacing))))
 
 
 @dataclass
@@ -136,7 +142,6 @@ class Grid2(_GridAxes):
         self.h2 = 1.0 / (self.n2 - 1)
         self.c1 = 0.5 * (self.x1[:-1] + self.x1[1:])
         self.c2 = 0.5 * (self.x2[:-1] + self.x2[1:])
-        self.cell_area = self.h1 * self.h2
         self.w1 = _axes_weights(self.n1, self.h1)
         self.w2 = _axes_weights(self.n2, self.h2)
 
@@ -145,7 +150,13 @@ class Grid2(_GridAxes):
         return (self.n1, self.n2)
 
 
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
 def _make_axis_ops(n, h):
+    """D1, the nodal first derivative, and "cell", whose entry k is the cell average of the nodal k-th derivative."""
     D1 = np.zeros((n, n))
     idx = np.arange(1, n - 1)
     D1[idx, idx - 1] = -0.5
@@ -166,7 +177,7 @@ def _make_axis_ops(n, h):
     j = np.arange(n - 1)
     C[j, j] = 0.5
     C[j, j + 1] = 0.5
-    return {"D1": D1, "D2": D2, "C": C}
+    return {"D1": _read_only(D1), "cell": tuple(_read_only(M) for M in (C, C @ D1, C @ D2))}
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +232,7 @@ def _shape_gradients(spacing, eps, point):
             for i, (bit, t) in enumerate(zip(corner, point)):
                 v = v * (2 * bit - 1) / h[i] if i == j else v * _lin(t, bit)
             V[k, j] = v
-    V.flags.writeable = False
-    return V
+    return _read_only(V)
 
 
 def gauss_points(dim):
@@ -237,9 +247,7 @@ def _stiffness_table(grid, eps):
     for pt in gauss_points(dim):
         V = shape_gradients(grid, eps, pt)
         T += w * np.einsum("ai,bj->ijab", V, V)
-    T = T.reshape(dim * dim, 4**dim)
-    T.flags.writeable = False
-    return T
+    return _read_only(T.reshape(dim * dim, 4**dim))
 
 
 def local_stiffness(coef, grid, eps=1.0):
@@ -256,9 +264,7 @@ def local_stiffness(coef, grid, eps=1.0):
 
 
 def _gauss_gradients(grid, eps):
-    V = np.concatenate([shape_gradients(grid, eps, pt) for pt in gauss_points(len(grid.shape))], axis=1)
-    V.flags.writeable = False
-    return V
+    return _read_only(np.concatenate([shape_gradients(grid, eps, pt) for pt in gauss_points(len(grid.shape))], axis=1))
 
 
 def gradient_second_moments(phi, grid, eps=1.0):
@@ -279,9 +285,9 @@ def gradient_second_moments(phi, grid, eps=1.0):
 
 
 def node_weights(grid):
-    """Trapezoid nodal weights normalized to unit sum (the gauge weights)."""
-    w = functools.reduce(np.multiply.outer, [_axes_weights(n, h) for n, h in zip(grid.shape, grid.spacing)])
-    return w / w.sum()
+    """Trapezoid nodal weights normalized to unit sum (the gauge weights), cached read-only per grid."""
+    w = grid.node_measure()
+    return grid._cached("node_weights", lambda: _read_only(w / w.sum()))
 
 
 def scaled_gradient(y, grid, eps, point=None):
@@ -330,17 +336,12 @@ def _alpha(i, j, eps):
     return 1.0
 
 
-def _hessian_axis_matrices(grid, i, j):
-    Ms = []
+def _cell_derivative(T, grid, i, j, transpose=False):
+    """Apply, axis by axis, the cell-derivative factor of order (i, j).count(axis) (or its transpose)."""
     for axis in range(3):
-        ops = grid.axis_ops(axis)
-        if axis == i and axis == j:
-            Ms.append(ops["C"] @ ops["D2"])
-        elif axis in (i, j):
-            Ms.append(ops["C"] @ ops["D1"])
-        else:
-            Ms.append(ops["C"])
-    return Ms
+        M = grid.axis_ops(axis)["cell"][(i, j).count(axis)]
+        T = _apply_axis(T, M.T if transpose else M, axis)
+    return T
 
 
 def scaled_hessian(y, grid, eps):
@@ -356,28 +357,19 @@ def scaled_hessian(y, grid, eps):
         raise ValueError("eps must be positive")
     y = np.asarray(y, dtype=float)
     H = np.empty(grid.cshape + (3, 3, 3))
-    for i in range(3):
-        for j in range(i, 3):
-            T = y
-            for axis, M in enumerate(_hessian_axis_matrices(grid, i, j)):
-                T = _apply_axis(T, M, axis)
-            T = T * _alpha(i, j, eps)
-            H[..., i, j, :] = T
-            if i != j:
-                H[..., j, i, :] = T
+    for i, j in itertools.combinations_with_replacement(range(3), 2):
+        H[..., i, j, :] = H[..., j, i, :] = _cell_derivative(y, grid, i, j) * _alpha(i, j, eps)
     return H
 
 
 def hessian_scatter(W, grid, eps):
-    """Adjoint of scaled_hessian: nodal dE/dy for E = sum_cells W : scaled_hessian(y)."""
-    out = np.zeros((grid.n1, grid.n2, grid.n3, 3))
-    for i in range(3):
-        for j in range(3):
-            ii, jj = min(i, j), max(i, j)
-            T = W[..., i, j, :] * _alpha(i, j, eps)
-            for axis, M in enumerate(_hessian_axis_matrices(grid, ii, jj)):
-                T = _apply_axis(T, M.T, axis)
-            out += T
+    """Adjoint of scaled_hessian: nodal dE/dy for E = sum_cells W : scaled_hessian(y).
+
+    Nine (i, j) passes in row order; folding W_ij + W_ji into six rounds differently and moves long descents.
+    """
+    out = np.zeros(grid.shape + (3,))
+    for i, j in itertools.product(range(3), repeat=2):
+        out += _cell_derivative(W[..., i, j, :] * _alpha(i, j, eps), grid, i, j, transpose=True)
     return out
 
 

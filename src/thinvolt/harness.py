@@ -76,6 +76,17 @@ def _num(section, key, default, name, positive=False, integer=False):
     return int(value) if integer else float(value)
 
 
+def _eps_list(values, name):
+    """A thickness list that is nonempty, finite, positive and strictly decreasing."""
+    if not isinstance(values, (list, tuple)) or not values:
+        raise ConfigError(f"'{name}' must be a nonempty list")
+    entries = dict(enumerate(values))
+    eps = [_num(entries, i, None, name, positive=True) for i in entries]
+    if any(b >= a for a, b in zip(eps, eps[1:])):
+        raise ConfigError(f"'{name}' must be strictly decreasing")
+    return eps
+
+
 def _matrix3(section, key, name):
     value = section.get(key)
     if value is None:
@@ -107,13 +118,7 @@ class RunConfig:
             if n < 3:
                 raise ConfigError("grid: node counts must be at least 3")
 
-        eps = data.get("eps", [0.25, 0.125, 0.0625, 0.03125])
-        if not isinstance(eps, (list, tuple)) or not eps:
-            raise ConfigError("'eps' must be a nonempty list")
-        entries = dict(enumerate(eps))
-        self.eps_list = [_num(entries, i, None, "eps", positive=True) for i in entries]
-        if any(b >= a for a, b in zip(self.eps_list, self.eps_list[1:])):
-            raise ConfigError("'eps' must be strictly decreasing")
+        self.eps_list = _eps_list(data.get("eps", [0.25, 0.125, 0.0625, 0.03125]), "eps")
 
         elastic = _expect_mapping(data.get("elastic", {}), "elastic")
         _check_keys(elastic, ("mu", "lam", "q_w"), "elastic")
@@ -442,6 +447,12 @@ def _termination(converged, history):
     return "line_search" if history[-1][3] == 0.0 else "max_iters"
 
 
+def _report_failure(out_dir, exc, **facts):
+    """Write a failed run's summary.json (the facts, pass false and the error) and return exit code 1."""
+    _write_json(os.path.join(out_dir, "summary.json"), {**facts, "error": f"{type(exc).__name__}: {exc}", "pass": False})
+    return 1
+
+
 def _cmd_solve3d(cfg, out_dir):
     eps = cfg.eps_list[0]
     grid3 = cfg.grid3()
@@ -463,9 +474,7 @@ def _cmd_solve3d(cfg, out_dir):
             rng=rng,
         )
     except (ValueError, electro3d.SolverError) as exc:  # an infeasible start, or a potential solve that failed
-        summary = {"mode": "solve3d", "seed": cfg.seed, "eps": eps, "error": f"{type(exc).__name__}: {exc}", "pass": False}
-        _write_json(os.path.join(out_dir, "summary.json"), summary)
-        return 1
+        return _report_failure(out_dir, exc, mode="solve3d", seed=cfg.seed, eps=eps)
     header = ["F_after_phi", "F_after_y", "grad_norm", "step", "pg0_res", "phi_probe"]
     _write_csv(os.path.join(out_dir, "solve3d_history.csv"), header, history)
     worst_probe = float(max(h[5] for h in history))
@@ -495,9 +504,12 @@ def _cmd_solve2d(cfg, out_dir):
     mat = cfg.material
     theta0 = cfg.theta_profile(grid2)
     rq = RelaxedQ2.of(mat)
-    y0, phi, history, converged = saddle_iterate_2d(
-        theta0, grid2, mat, iters=cfg.max_iters, tol=cfg.grad_tol, rq=rq, solver_tol=cfg.poisson_tol
-    )
+    try:
+        y0, phi, history, converged = saddle_iterate_2d(
+            theta0, grid2, mat, iters=cfg.max_iters, tol=cfg.grad_tol, rq=rq, solver_tol=cfg.poisson_tol
+        )
+    except (ValueError, electro3d.SolverError) as exc:  # a potential solve that failed
+        return _report_failure(out_dir, exc, mode="solve2d", seed=cfg.seed)
     header = ["F_after_phi", "F_after_theta", "grad_norm", "step"]
     _write_csv(os.path.join(out_dir, "solve2d_history.csv"), header, history)
     rng = np.random.default_rng(cfg.seed)
@@ -599,9 +611,7 @@ def cli_main(argv=None):
                 eps = [float(tok) for tok in args.eps.split(",") if tok.strip()]
             except ValueError:
                 raise ConfigError("--eps must be a comma-separated number list")
-            if not eps or not all(map(math.isfinite, eps)) or any(e <= 0 for e in eps) or any(b >= a for a, b in zip(eps, eps[1:])):
-                raise ConfigError("--eps must be finite, positive and strictly decreasing")
-            cfg.eps_list = eps
+            cfg.eps_list = _eps_list(eps, "--eps")
         if args.seed is not None:
             if args.seed < 0:
                 raise ConfigError("--seed must be nonnegative")

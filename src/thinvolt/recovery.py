@@ -176,8 +176,7 @@ def _mollifier_evaluation(v, d, grid, eps, tau, q_h):
     gn = np.sum(G * G, axis=(-2, -1)) ** (q_h / 2.0)
     hn = np.sum(H * H, axis=(-3, -2, -1)) ** (q_h / 2.0)
     pen = (eps**tau / q_h) * fields.integrate3(gn + hn, grid)
-    wn = np.einsum("i,j,k->ijk", grid.w1, grid.w2, grid.w3)
-    fid = 0.5 * float(np.sum(wn[..., None] * (v - d) ** 2))
+    fid = 0.5 * float(np.sum(grid.node_measure()[..., None] * (v - d) ** 2))
     return pen + fid, (v, G, H)
 
 
@@ -196,8 +195,7 @@ def _mollifier_gradient(state, d, grid, eps, tau, q_h):
     hn2 = np.sum(H * H, axis=(-3, -2, -1))
     wH = np.where(hn2 > 0, hn2, 1.0) ** (q_h / 2.0 - 1.0) * (hn2 > 0)
     out += fields.hessian_scatter(eps**tau * vol * wH[..., None, None, None] * H, grid, 1.0)
-    wn = np.einsum("i,j,k->ijk", grid.w1, grid.w2, grid.w3)
-    out += wn[..., None] * (v - d)
+    out += grid.node_measure()[..., None] * (v - d)
     return out
 
 
@@ -219,7 +217,7 @@ def mollify_field(d, grid, eps, tau=None, q_h=4.0, iters=500, grad_tol=1e-8):
     d = np.asarray(d, dtype=float)
     if d.ndim != 4 or d.shape[-1] != 3:
         raise ValueError("mollify_field expects a nodal (n1,n2,n3,3) field")
-    wn = np.einsum("i,j,k->ijk", grid.w1, grid.w2, grid.w3)
+    wn = grid.node_measure()
     inv_mass = 1.0 / wn[..., None]
     v, (_, _, H), run = optimize.lbfgs(
         lambda u: _mollifier_evaluation(u, d, grid, eps, tau, q_h),

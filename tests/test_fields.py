@@ -82,6 +82,54 @@ def test_hessian_scatter_adjoint():
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
+def _difference_matrices(n, h):
+    """Hand-written 1D nodal first and second differences (central inside, one-sided second order at the ends)."""
+    D1 = np.zeros((n, n))
+    D2 = np.zeros((n, n))
+    for r in range(1, n - 1):
+        D1[r, r - 1], D1[r, r + 1] = -0.5 / h, 0.5 / h
+        D2[r, r - 1], D2[r, r], D2[r, r + 1] = 1.0 / h**2, -2.0 / h**2, 1.0 / h**2
+    D1[0, 0], D1[0, 1], D1[0, 2] = -1.5 / h, 2.0 / h, -0.5 / h
+    D1[n - 1, n - 3], D1[n - 1, n - 2], D1[n - 1, n - 1] = 0.5 / h, -2.0 / h, 1.5 / h
+    D2[0, :3] = D2[1, :3]
+    D2[n - 1, n - 3 :] = D2[n - 2, n - 3 :]
+    return D1, D2
+
+
+def _averaging_matrix(n):
+    A = np.zeros((n - 1, n))
+    for c in range(n - 1):
+        A[c, c] = A[c, c + 1] = 0.5
+    return A
+
+
+def _hessian_kron(g, eps, i, j):
+    """alpha_ij kron(F0, F1, F2): F_a averages the nodal derivative along axis a taken once per index equal to a."""
+    factors = []
+    for a, (n, h) in enumerate(zip(g.shape, g.spacing)):
+        D1, D2 = _difference_matrices(n, h)
+        factors.append(_averaging_matrix(n) @ [np.eye(n), D1, D2][(i == a) + (j == a)])
+    return np.kron(np.kron(factors[0], factors[1]), factors[2]) / eps ** ((i == 2) + (j == 2))
+
+
+@pytest.mark.parametrize("eps", [0.3, 1.0])
+def test_scaled_hessian_and_scatter_match_kronecker_reference(eps):
+    g = Grid3(6, 5, 4)
+    rng = np.random.default_rng(11)
+    y = rng.standard_normal(g.shape + (3,))
+    W = rng.standard_normal(g.cshape + (3, 3, 3))  # not symmetric in (i, j)
+    H = fields.scaled_hessian(y, g, eps)
+    out = np.zeros((math.prod(g.shape), 3))
+    for i in range(3):
+        for j in range(3):
+            K = _hessian_kron(g, eps, i, j)
+            ref = (K @ y.reshape(-1, 3)).reshape(g.cshape + (3,))
+            assert np.max(np.abs(H[..., i, j, :] - ref)) <= 1e-12 * np.max(np.abs(ref))
+            out += K.T @ W[..., i, j, :].reshape(-1, 3)
+    scatter = fields.hessian_scatter(W, g, eps)
+    assert np.max(np.abs(scatter - out.reshape(g.shape + (3,)))) <= 1e-12 * np.max(np.abs(out))
+
+
 def test_scaled_gradient_exact_on_trilinear():
     # trilinear fields are reproduced exactly by the shape-function gradient
     g = Grid3(6, 5, 4)

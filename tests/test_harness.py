@@ -612,6 +612,18 @@ def test_cli_solve3d_infeasible_start_reports_error(tmp_path, capsys, extra, rea
     assert capsys.readouterr().err == ""
 
 
+def test_cli_solve2d_failed_potential_solve_reports_error(tmp_path, capsys):
+    # a tolerance below roundoff: the potential solve loses positive definiteness
+    cfgpath = _write_config(tmp_path / "cfg.json", extra={"solver": {"poisson_tol": 1e-300, "max_iters": 3}})
+    out = tmp_path / "out"
+    assert cli_main(["solve2d", "--config", cfgpath, "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["pass"] is False and summary["mode"] == "solve2d" and summary["seed"] == 0
+    assert summary["error"] == "SolverError: pcg: operator lost positive definiteness"
+    assert not (out / "solve2d_history.csv").exists()
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_eps_override(tmp_path):
     cfgpath = _write_config(tmp_path / "cfg.json")
     out = str(tmp_path / "out")
