@@ -52,19 +52,29 @@ _GAUSS_LO = 0.5 - 0.5 / np.sqrt(3.0)
 _GAUSS_HI = 0.5 + 0.5 / np.sqrt(3.0)
 
 
-def _axes_weights(n, h):
-    w = np.full(n, h)
-    w[0] = w[-1] = 0.5 * h
-    return w
-
-
 class _GridAxes:
-    """Cell shape, per-axis spacing and cached operators, shared by Grid2 and Grid3.
+    """Per-axis geometry, cell shape and cached operators, shared by Grid2 and Grid3.
 
-    The cache holds the 1D axis operators, the Q1 shape gradients, the
-    nodal measure and the gauge weights, all pure functions of the grid
-    and their key.
+    Axis k (from 1) spans (lower_k, lower_k + 1) with n_k nodes: the nodes
+    x_k, the spacing h_k, the cell centers c_k and the trapezoid weights w_k
+    (also the tuple ``weights``) are built here once; cell_volume is the
+    product of the spacings. The cache holds the 1D axis operators, the Q1
+    shape gradients, the nodal measure and the gauge weights, all pure
+    functions of the grid and their key.
     """
+
+    def __post_init__(self):
+        if min(self.shape) < 3:
+            raise ValueError(f"{type(self).__name__}: need at least 3 nodes per axis")
+        weights = []
+        for k, (n, h, lower) in enumerate(zip(self.shape, self.spacing, self.lower), start=1):
+            x = np.linspace(lower, lower + 1.0, n)
+            w = np.full(n, h)
+            w[0] = w[-1] = 0.5 * h
+            weights.append(w)
+            vars(self).update({f"x{k}": x, f"h{k}": h, f"c{k}": 0.5 * (x[:-1] + x[1:]), f"w{k}": w})
+        self.weights = tuple(weights)
+        self.cell_volume = math.prod(self.spacing)
 
     @property
     def cshape(self):
@@ -86,7 +96,7 @@ class _GridAxes:
 
     def node_measure(self):
         """Cached read-only trapezoid nodal measure: the outer product of the per-axis weights."""
-        return self._cached("node_measure", lambda: _read_only(functools.reduce(np.multiply.outer, map(_axes_weights, self.shape, self.spacing))))
+        return self._cached("node_measure", lambda: _read_only(functools.reduce(np.multiply.outer, self.weights)))
 
 
 @dataclass
@@ -97,27 +107,7 @@ class Grid3(_GridAxes):
     n2: int
     n3: int
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __post_init__(self):
-        for n in (self.n1, self.n2, self.n3):
-            if n < 3:
-                raise ValueError("Grid3: need at least 3 nodes per axis")
-        self.x1 = np.linspace(0.0, 1.0, self.n1)
-        self.x2 = np.linspace(0.0, 1.0, self.n2)
-        self.x3 = np.linspace(-0.5, 0.5, self.n3)
-        self.h1 = 1.0 / (self.n1 - 1)
-        self.h2 = 1.0 / (self.n2 - 1)
-        self.h3 = 1.0 / (self.n3 - 1)
-        self.c1 = 0.5 * (self.x1[:-1] + self.x1[1:])
-        self.c2 = 0.5 * (self.x2[:-1] + self.x2[1:])
-        self.c3 = 0.5 * (self.x3[:-1] + self.x3[1:])
-        self.cell_volume = self.h1 * self.h2 * self.h3
-        total = self.cell_volume * (self.n1 - 1) * (self.n2 - 1) * (self.n3 - 1)
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError("Grid3: cell volumes do not sum to the domain volume")
-        self.w1 = _axes_weights(self.n1, self.h1)
-        self.w2 = _axes_weights(self.n2, self.h2)
-        self.w3 = _axes_weights(self.n3, self.h3)
+    lower = (0.0, 0.0, -0.5)
 
     @property
     def shape(self):
@@ -131,19 +121,7 @@ class Grid2(_GridAxes):
     n1: int
     n2: int
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __post_init__(self):
-        for n in (self.n1, self.n2):
-            if n < 3:
-                raise ValueError("Grid2: need at least 3 nodes per axis")
-        self.x1 = np.linspace(0.0, 1.0, self.n1)
-        self.x2 = np.linspace(0.0, 1.0, self.n2)
-        self.h1 = 1.0 / (self.n1 - 1)
-        self.h2 = 1.0 / (self.n2 - 1)
-        self.c1 = 0.5 * (self.x1[:-1] + self.x1[1:])
-        self.c2 = 0.5 * (self.x2[:-1] + self.x2[1:])
-        self.w1 = _axes_weights(self.n1, self.h1)
-        self.w2 = _axes_weights(self.n2, self.h2)
+    lower = (0.0, 0.0)
 
     @property
     def shape(self):
@@ -384,10 +362,8 @@ def integrate3(cell_values, grid):
 
 def node_mean(f, grid):
     """Volume-weighted nodal mean (trapezoid rule), per trailing component."""
-    f = np.asarray(f, dtype=float)
-    if isinstance(grid, Grid3):
-        return np.einsum("i,j,k,ijk...->...", grid.w1, grid.w2, grid.w3, f)
-    return np.einsum("i,j,ij...->...", grid.w1, grid.w2, f)
+    axes = "ijk"[: len(grid.shape)]
+    return np.einsum(",".join(axes) + f",{axes}...->...", *grid.weights, np.asarray(f, dtype=float))
 
 
 def zero_mean_project(f, grid):

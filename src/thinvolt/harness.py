@@ -333,7 +333,10 @@ def solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-10, grad_tol=1e-7
         # the one evaluation of a point: the start, or a trial whose accepted state is the next iterate's
         c = fields.zero_mean_project(c, grid)
         m = elastic3d.M_eps(c, grid, eps, mat)
-        return c, m, electro3d.assemble_poisson3(c, grid, eps, mat) if np.isfinite(m) else None
+        try:
+            return c, m, electro3d.assemble_poisson3(c, grid, eps, mat) if np.isfinite(m) else None
+        except ValueError:  # a cell centre that loses orientation: infeasible, like an infinite M_eps
+            return c, m, None
 
     y, m_y, system = evaluate(y_init)
     if system is None:

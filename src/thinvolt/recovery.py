@@ -8,6 +8,7 @@ slope, and measures convergence of the scaled 3D energies toward the 2D
 targets along a decreasing thickness sweep.
 """
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -240,23 +241,6 @@ def mollify_field(d, grid, eps, tau=None, q_h=4.0, iters=500, grad_tol=1e-8):
     return v, info
 
 
-SWEEP_COLUMNS = [
-    "eps",
-    "Mel_scaled",
-    "hyper",
-    "M_eps",
-    "E_eps",
-    "F_eps",
-    "M0",
-    "E0",
-    "F0",
-    "d2_ratio",
-    "pW_norm",
-    "min_det",
-    "pg0_res",
-]
-
-
 @dataclass
 class SweepRow:
     eps: float
@@ -277,6 +261,10 @@ class SweepRow:
 
     def values(self):
         return [getattr(self, name) for name in SWEEP_COLUMNS]
+
+
+# the sweep.csv columns: SweepRow's float fields in declaration order
+SWEEP_COLUMNS = [f.name for f in dataclasses.fields(SweepRow) if f.type is float]
 
 
 def recovery_sweep(inputs, mat, grid, eps_list, use_mollifier=False, solver_tol=1e-9, rq=None):
@@ -313,10 +301,12 @@ def recovery_sweep(inputs, mat, grid, eps_list, use_mollifier=False, solver_tol=
                 raise ValueError("lifted deformation loses orientation")
             system = electro3d.assemble_poisson3(y, grid, eps, mat)
             phi = electro3d.solve_potential3(system, tol=solver_tol)
+            parts = system.energy_parts(phi)
         except (ValueError, electro3d.SolverError) as exc:
             row.reason = f"{type(exc).__name__}: {exc}"
             continue
-        parts = system.energy_parts(phi)
+        finally:
+            system = None  # release the row's operator before the next row assembles its own
         dist2, pw_norm, min_det = elastic3d.apriori_report(y, phi, grid, eps, mat)
         row.Mel_scaled = mel
         row.hyper = hyp

@@ -100,26 +100,17 @@ def dist_SO3_sq(F):
     from the eigenvalues of F^T F, so the value is finite for every F.
     """
     F = _check_square(F, 3, "F")
-    d = det3(F)
-    out = np.empty(F.shape[:-2], dtype=float)
-    pos = d > 0.0
+    batch = F.reshape(-1, 3, 3)
+    out = np.empty(len(batch))
+    pos = det3(batch) > 0.0
     if np.any(pos):
-        Fp = F[pos] if F.ndim > 2 else F
-        R = nearest_rotation(Fp)
-        v = np.sum((Fp - R) ** 2, axis=(-2, -1))
-        if F.ndim > 2:
-            out[pos] = v
-        else:
-            out = v
-    if np.any(~pos):
-        Fn = F[~pos] if F.ndim > 2 else F
-        lam = np.linalg.eigvalsh(np.swapaxes(Fn, -1, -2) @ Fn)
-        sig = np.sqrt(np.clip(lam, 0.0, None))
-        v = np.sum((sig - 1.0) ** 2, axis=-1)
-        if F.ndim > 2:
-            out[~pos] = v
-        else:
-            out = v
+        Fp = batch[pos]
+        out[pos] = np.sum((Fp - nearest_rotation(Fp)) ** 2, axis=(-2, -1))
+    if not np.all(pos):
+        Fn = batch[~pos]
+        sig = np.sqrt(np.clip(np.linalg.eigvalsh(np.swapaxes(Fn, -1, -2) @ Fn), 0.0, None))
+        out[~pos] = np.sum((sig - 1.0) ** 2, axis=-1)
+    out = out.reshape(F.shape[:-2])
     return out if F.ndim > 2 else float(out)
 
 

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -19,6 +20,42 @@ def test_grid3_geometry():
     # trapezoid weights sum to the measure of the slab
     assert abs(np.sum(g.w1) - 1.0) < 1e-14
     assert abs(np.sum(g.w3) - 1.0) < 1e-14
+
+
+def _trapezoid(n):
+    w = np.full(n, 1.0 / (n - 1))
+    w[0] = w[-1] = 0.5 / (n - 1)
+    return w
+
+
+@pytest.mark.parametrize(
+    "grid, nodes",
+    [
+        (Grid2(7, 5), (np.linspace(0.0, 1.0, 7), np.linspace(0.0, 1.0, 5))),
+        (Grid3(5, 4, 6), (np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 4), np.linspace(-0.5, 0.5, 6))),
+    ],
+)
+def test_grid_axes_match_their_formulas(grid, nodes):
+    weights = [_trapezoid(len(x)) for x in nodes]
+    for k, (x, w) in enumerate(zip(nodes, weights), start=1):
+        assert np.array_equal(getattr(grid, f"x{k}"), x)
+        assert getattr(grid, f"h{k}") == 1.0 / (len(x) - 1)
+        assert np.array_equal(getattr(grid, f"c{k}"), 0.5 * (x[:-1] + x[1:]))
+        assert np.array_equal(getattr(grid, f"w{k}"), w)
+    assert grid.cell_volume == math.prod(1.0 / (len(x) - 1) for x in nodes)
+    f = np.random.default_rng(3).standard_normal(grid.shape + (3,))
+    if len(nodes) == 3:
+        want = np.einsum("i,j,k,ijk...->...", grid.w1, grid.w2, grid.w3, f)
+    else:
+        want = np.einsum("i,j,ij...->...", grid.w1, grid.w2, f)
+    assert np.array_equal(fields.node_mean(f, grid), want)
+    assert np.array_equal(grid.node_measure(), functools.reduce(np.multiply.outer, weights))
+
+
+@pytest.mark.parametrize("make, name", [(lambda: Grid2(2, 5), "Grid2:"), (lambda: Grid3(5, 5, 2), "Grid3:")])
+def test_grid_needs_three_nodes_per_axis(make, name):
+    with pytest.raises(ValueError, match=name):
+        make()
 
 
 def test_integrate3_constant_and_midpoint_exactness():

@@ -355,6 +355,28 @@ def test_solve3d_assembles_once_per_point(monkeypatch, stop):
     assert electro3d.check_pg0(y, phi, grid, eps, mat) <= 1e-8
 
 
+def test_solve3d_rejects_a_trial_whose_assembly_fails(monkeypatch):
+    # a trial whose cell centre loses orientation can have a finite M_eps
+    # while its assembly raises; the line search must halve the step, not stop
+    from thinvolt import electro3d
+    from thinvolt.elastic3d import flat_deformation
+
+    assemble = electro3d.assemble_poisson3
+    calls = []
+
+    def failing_first_trial(*args):
+        calls.append(None)
+        if len(calls) == 2:
+            raise ValueError("deformation not orientation-preserving at cell (0, 0, 1)")
+        return assemble(*args)
+
+    monkeypatch.setattr(electro3d, "assemble_poisson3", failing_first_trial)
+    grid = Grid3(5, 5, 4)
+    eps = 0.25
+    _, _, history, _ = solve3d_alternating(grid, eps, Material(), flat_deformation(grid, eps), poisson_tol=1e-11, max_iters=3)
+    assert history.shape == (3, 6) and np.all(history[:, 3] > 0.0)
+
+
 def test_solve3d_termination_reasons():
     accepted = np.array([[1.0, 0.9, 0.1, 0.5, 0.0, 0.0]])
     failed = np.array([[1.0, 1.0, 0.1, 0.0, 0.0, 0.0]])

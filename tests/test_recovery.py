@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -322,6 +325,42 @@ def test_recovery_sweep_flags_orientation_loss():
     assert rows[1].ok and rows[1].reason == ""
     with pytest.raises(ValueError):
         recovery_sweep(inputs, mat, grid3, [0.125, 0.25])
+
+
+def test_recovery_sweep_releases_each_rows_system(monkeypatch):
+    # a row's system (Kloc, stencil, line factors) is dropped once the row's
+    # energy is taken, also when its solve fails, so no earlier row's system
+    # is alive while the next row assembles; the cyclic collector is off, so
+    # only reference counting can free it
+    from thinvolt import electro3d
+
+    assemble, solve = electro3d.assemble_poisson3, electro3d.solve_potential3
+    refs = []
+
+    def watched_assemble(*args):
+        assert all(ref() is None for ref in refs)
+        system = assemble(*args)
+        refs.append(weakref.ref(system))
+        return system
+
+    def solve_failing_second(system, **kwargs):
+        if len(refs) == 2:
+            raise electro3d.SolverError("forced failure", [1.0])
+        return solve(system, **kwargs)
+
+    monkeypatch.setattr(electro3d, "assemble_poisson3", watched_assemble)
+    monkeypatch.setattr(electro3d, "solve_potential3", solve_failing_second)
+    grid2 = Grid2(9, 9)
+    y0 = CylindricalIsometry(grid2, grid2.x1)
+    mat = Material()
+    inputs = RecoveryInputs(isometry=y0, prestrain=mat.prestrain)
+    gc.disable()
+    try:
+        rows = recovery_sweep(inputs, mat, Grid3(9, 9, 5), [0.25, 0.125, 0.0625], solver_tol=1e-10)
+    finally:
+        gc.enable()
+    assert len(refs) == 3 and all(ref() is None for ref in refs)
+    assert [row.ok for row in rows] == [True, False, True]
 
 
 def test_recovery_sweep_with_mollifier():

@@ -92,6 +92,26 @@ def test_dist_SO3_sq_oracle():
         assert abs(dist_SO3_sq(F) - ref) <= 1e-9 * max(1.0, ref)
 
 
+def test_dist_SO3_sq_batch_mixes_both_branches():
+    # a (4, 5) batch with det > 0 and det <= 0 entries: each branch's entries
+    # equal that branch's own batched call bit for bit, and each entry agrees
+    # with its scalar call to rounding (the polar Newton loop stops on the
+    # whole batch, so a batch may take one more step than a single matrix)
+    F = np.random.default_rng(10).standard_normal((4, 5, 3, 3))
+    pos = det3(F) > 0.0
+    assert 0 < np.count_nonzero(pos) < pos.size
+    d = dist_SO3_sq(F)
+    assert d.shape == (4, 5)
+    assert np.array_equal(d[pos], dist_SO3_sq(F[pos]))
+    assert np.array_equal(d[~pos], dist_SO3_sq(F[~pos]))
+    for idx in np.ndindex(4, 5):
+        single = dist_SO3_sq(F[idx])
+        assert type(single) is float
+        if not pos[idx]:
+            assert d[idx] == single
+        assert abs(d[idx] - single) <= 1e-15 * single
+
+
 def test_dist_SO3_sq_zero_on_rotations():
     rng = np.random.default_rng(9)
     for _ in range(20):
