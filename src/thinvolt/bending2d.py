@@ -63,16 +63,6 @@ class CylindricalIsometry:
     # -- geometry ------------------------------------------------------------
 
     @staticmethod
-    def tangent_of(theta):
-        th = np.asarray(theta, dtype=float)
-        return np.stack([np.cos(th), np.zeros_like(th), -np.sin(th)], axis=-1)
-
-    @staticmethod
-    def normal_of(theta):
-        th = np.asarray(theta, dtype=float)
-        return np.stack([np.sin(th), np.zeros_like(th), np.cos(th)], axis=-1)
-
-    @staticmethod
     def frame_of(theta):
         """Rotation with columns (tangent, e2, normal), batched over theta."""
         th = np.asarray(theta, dtype=float)
@@ -185,9 +175,9 @@ def assemble_poisson2(y0, mat):
     return PoissonSystem(y0.grid, mat.coupling.beta * keff, load)
 
 
-def solve_potential2(y0, mat, tol=1e-10, max_iter=None):
+def solve_potential2(y0, mat, tol=1e-10):
     """Solve the reduced potential problem (Jacobi PCG); weighted zero-mean nodal field."""
-    return assemble_poisson2(y0, mat).solve(tol=tol, max_iter=max_iter)
+    return assemble_poisson2(y0, mat).solve(tol=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ The operators assembled in this package are symmetric positive semidefinite
 with the constant vector spanning the kernel. The right-hand sides are
 compatibility-shifted before the solve; the iteration additionally projects
 the residual and the preconditioned residual onto the zero-sum subspace
-every step to keep roundoff from drifting along the kernel. The 3D potential
-solves pass an exact x3-line preconditioner; everything else uses Jacobi.
+every step to keep roundoff from drifting along the kernel. The caller
+passes the preconditioner: each assembled system carries its own
+(electro3d.PoissonSystem.precondition).
 """
 
 import numpy as np
@@ -29,12 +30,11 @@ def _project(v):
     return v
 
 
-def pcg(matvec, b, diag, tol=1e-10, max_iter=None, x0=None, precond=None):
+def pcg(matvec, b, precond, tol=1e-10, max_iter=None, x0=None):
     """Solve K x = b on the zero-sum subspace; returns (x, residual_history).
 
-    matvec maps flat vectors to flat vectors and diag is the positive operator
-    diagonal. precond applies an SPD approximation of K^{-1} to a flat
-    residual; when omitted, the iteration is Jacobi-preconditioned with diag.
+    matvec maps flat vectors to flat vectors and precond applies an SPD
+    approximation of K^{-1} to a flat residual.
     Convergence means ||b - K x||_2 <= tol * ||b||_2.
     """
     b = np.asarray(b, dtype=float).ravel().copy()
@@ -42,14 +42,6 @@ def pcg(matvec, b, diag, tol=1e-10, max_iter=None, x0=None, precond=None):
     n = b.size
     if max_iter is None:
         max_iter = min(8 * n, 40000)
-    diag = np.asarray(diag, dtype=float).ravel()
-    if np.any(diag <= 0.0):
-        raise ValueError("pcg: operator diagonal must be positive")
-    if precond is None:
-
-        def precond(v):
-            return v / diag
-
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return np.zeros(n), [0.0]

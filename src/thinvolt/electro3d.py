@@ -61,7 +61,9 @@ class PoissonSystem:
     load the nodal charge load; the gauge weights are the normalized
     trapezoid weights. The operator is applied as its assembled stencil:
     in C-ordered flat node indexing each offset is a fixed shift, so an
-    apply is one multiply-add per direction of every stored offset.
+    apply is one multiply-add per direction of every stored offset. The
+    solve is preconditioned by precondition: Jacobi here, the x3-line
+    blocks in PoissonSystem3.
     """
 
     def __init__(self, grid, coef, load, eps=1.0):
@@ -71,6 +73,8 @@ class PoissonSystem:
         self.Kloc = fields.local_stiffness(coef, grid, eps)
         self.stencil = _stencil(self.Kloc, grid)
         self.diag = self.stencil[(0,) * len(grid.shape)]
+        if np.any(self.diag <= 0.0):
+            raise ValueError("PoissonSystem: operator diagonal must be positive")
         strides = [math.prod(grid.shape[k + 1 :]) for k in range(len(grid.shape))]
         self._shifts = []
         for o, S in self.stencil.items():
@@ -111,10 +115,13 @@ class PoissonSystem:
     def matvec(self, x):
         return self.apply(x.reshape(self.grid.shape)).ravel()
 
-    def solve(self, tol=1e-10, x0=None, max_iter=None, precond=None):
-        """Projected PCG solve, Jacobi unless precond is given; the potential with weighted zero mean."""
-        x0 = None if x0 is None else np.asarray(x0).ravel()
-        x, _ = pcg(self.matvec, self.b.ravel(), self.diag.ravel(), tol=tol, max_iter=max_iter, x0=x0, precond=precond)
+    def precondition(self, r):
+        """Jacobi: r divided by the operator diagonal; flat in, flat out."""
+        return r / self.diag.ravel()
+
+    def solve(self, tol=1e-10, x0=None):
+        """Projected PCG solve with the system's own preconditioner; the potential with weighted zero mean."""
+        x, _ = pcg(self.matvec, self.b, self.precondition, tol=tol, x0=x0)
         phi = x.reshape(self.grid.shape)
         return phi - float(np.sum(self.weights * phi))
 
@@ -184,12 +191,9 @@ def assemble_poisson3(y, grid, eps, mat):
     return PoissonSystem3(grid, coef, load, eps)
 
 
-def solve_potential3(system, tol=1e-10, x0=None, max_iter=None):
-    """Projected PCG solve, preconditioned by exact x3-line solves.
-
-    Returns the potential with weighted zero mean.
-    """
-    return system.solve(tol=tol, x0=x0, max_iter=max_iter, precond=system.precondition)
+def solve_potential3(system, tol=1e-10, x0=None):
+    """The potential of a 3D system, solved with its x3-line preconditioner; weighted zero mean."""
+    return system.solve(tol=tol, x0=x0)
 
 
 def electrostatic_energy(quad, moment):

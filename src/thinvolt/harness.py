@@ -47,149 +47,128 @@ class ConfigError(Exception):
     """Configuration rejected before any computation."""
 
 
-def _expect_mapping(obj, name):
-    if not isinstance(obj, dict):
-        raise ConfigError(f"config section '{name}' must be a mapping")
-    return obj
+# every key of every config section, with its kind: "number" (finite),
+# "positive", "count" (a positive integer), "matrix" (3x3 numbers) or "text";
+# the material sections carry the field names of their dataclasses
+_SECTIONS = {
+    "grid": {"n1": "count", "n2": "count", "n3": "count", "n1_2d": "count", "n2_2d": "count"},
+    "elastic": {"mu": "positive", "lam": "positive", "q_w": "positive"},
+    "hyper": {"q_h": "positive", "alpha_h": "positive", "c_h": "positive"},
+    "prestrain": {"B0": "matrix", "B1": "matrix"},
+    "permittivity": {"k": "matrix"},
+    "charge": {"mode": "text", "amplitude": "number"},
+    "coupling": {"beta": "positive", "gamma": "number"},
+    "isometry": {"kind": "text", "offset": "number", "slope": "number", "amplitude": "number"},
+    "solver": {"poisson_tol": "positive", "grad_tol": "positive", "max_iters": "count"},
+    "output": {"dir": "text"},
+}
+_MATERIAL = {
+    "elastic": ElasticParams,
+    "hyper": HyperParams,
+    "prestrain": PrestrainModel,
+    "permittivity": PermittivityModel,
+    "charge": ChargeModel,
+    "coupling": CouplingConstants,
+}
 
 
 def _check_keys(section, allowed, name):
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section '{name}' must be a mapping")
     extra = set(section) - set(allowed)
     if extra:
         raise ConfigError(f"unknown key(s) in '{name}': {sorted(extra)}")
 
 
-def _num(section, key, default, name, positive=False, integer=False):
-    value = section.get(key, default)
+def _parse(value, kind, where):
+    """value checked against its kind: a str, a float, an int for a count, or a 3x3 array."""
+    if kind == "text":
+        if not isinstance(value, str):
+            raise ConfigError(f"'{where}' must be a string")
+        return value
+    if kind == "matrix":
+        rows = value if isinstance(value, (list, tuple)) else ()
+        if len(rows) != 3 or not all(isinstance(row, (list, tuple)) and len(row) == 3 for row in rows):
+            raise ConfigError(f"'{where}' must be a 3x3 numeric array")
+        return np.array([[_parse(v, "number", f"{where}.{i}.{j}") for j, v in enumerate(row)] for i, row in enumerate(rows)])
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"'{name}.{key}' must be a number")
+        raise ConfigError(f"'{where}' must be a number")
     try:
         finite = math.isfinite(value)
     except OverflowError:  # an integer beyond the float range
         finite = False
     if not finite:
-        raise ConfigError(f"'{name}.{key}' must be finite")
-    if integer and int(value) != value:
-        raise ConfigError(f"'{name}.{key}' must be an integer")
-    if positive and value <= 0:
-        raise ConfigError(f"'{name}.{key}' must be positive")
-    return int(value) if integer else float(value)
+        raise ConfigError(f"'{where}' must be finite")
+    if kind == "count" and int(value) != value:
+        raise ConfigError(f"'{where}' must be an integer")
+    if kind != "number" and value <= 0:
+        raise ConfigError(f"'{where}' must be positive")
+    return int(value) if kind == "count" else float(value)
+
+
+def _section(data, name):
+    """The keys that a config sets in section name, each parsed by its kind."""
+    section, kinds = data.get(name, {}), _SECTIONS[name]
+    _check_keys(section, kinds, name)
+    return {key: _parse(value, kinds[key], f"{name}.{key}") for key, value in section.items()}
 
 
 def _eps_list(values, name):
     """A thickness list that is nonempty, finite, positive and strictly decreasing."""
     if not isinstance(values, (list, tuple)) or not values:
         raise ConfigError(f"'{name}' must be a nonempty list")
-    entries = dict(enumerate(values))
-    eps = [_num(entries, i, None, name, positive=True) for i in entries]
+    eps = [_parse(value, "positive", f"{name}.{i}") for i, value in enumerate(values)]
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ConfigError(f"'{name}' must be strictly decreasing")
     return eps
 
 
-def _matrix3(section, key, name):
-    value = section.get(key)
-    if value is None:
-        return np.zeros((3, 3))
-    rows = value if isinstance(value, (list, tuple)) else ()
-    if len(rows) != 3 or not all(isinstance(row, (list, tuple)) and len(row) == 3 for row in rows):
-        raise ConfigError(f"'{name}.{key}' must be a 3x3 numeric array")
-    # each entry goes through _num, so strings and booleans are rejected as for any other number
-    return np.array([[_num(dict(enumerate(row)), j, None, f"{name}.{key}.{i}") for j in range(3)] for i, row in enumerate(rows)])
-
-
 class RunConfig:
-    """Validated run parameters: grids, thickness list, material, solver knobs."""
+    """Validated run parameters: grids, thickness list, material, solver knobs.
 
-    _TOP = ("grid", "eps", "elastic", "hyper", "prestrain", "permittivity", "charge", "coupling", "isometry", "solver", "output", "mode", "seed")
+    A key that a config leaves out takes its default: the material defaults
+    are those of the material dataclasses, the others are set here.
+    """
 
     def __init__(self, data):
-        data = _expect_mapping(data, "<top-level>")
-        _check_keys(data, self._TOP, "<top-level>")
+        _check_keys(data, (*_SECTIONS, "eps", "mode", "seed"), "<top-level>")
 
-        grid = _expect_mapping(data.get("grid", {}), "grid")
-        _check_keys(grid, ("n1", "n2", "n3", "n1_2d", "n2_2d"), "grid")
-        self.n1 = _num(grid, "n1", 17, "grid", positive=True, integer=True)
-        self.n2 = _num(grid, "n2", 17, "grid", positive=True, integer=True)
-        self.n3 = _num(grid, "n3", 9, "grid", positive=True, integer=True)
-        self.n1_2d = _num(grid, "n1_2d", self.n1, "grid", positive=True, integer=True)
-        self.n2_2d = _num(grid, "n2_2d", self.n2, "grid", positive=True, integer=True)
+        grid = _section(data, "grid")
+        self.n1 = grid.get("n1", 17)
+        self.n2 = grid.get("n2", 17)
+        self.n3 = grid.get("n3", 9)
+        self.n1_2d = grid.get("n1_2d", self.n1)
+        self.n2_2d = grid.get("n2_2d", self.n2)
         for n in (self.n1, self.n2, self.n3, self.n1_2d, self.n2_2d):
             if n < 3:
                 raise ConfigError("grid: node counts must be at least 3")
 
         self.eps_list = _eps_list(data.get("eps", [0.25, 0.125, 0.0625, 0.03125]), "eps")
 
-        elastic = _expect_mapping(data.get("elastic", {}), "elastic")
-        _check_keys(elastic, ("mu", "lam", "q_w"), "elastic")
-        hyper = _expect_mapping(data.get("hyper", {}), "hyper")
-        _check_keys(hyper, ("q_h", "alpha_h", "c_h"), "hyper")
-        prestrain = _expect_mapping(data.get("prestrain", {}), "prestrain")
-        _check_keys(prestrain, ("B0", "B1"), "prestrain")
-        permittivity = _expect_mapping(data.get("permittivity", {}), "permittivity")
-        _check_keys(permittivity, ("k",), "permittivity")
-        charge = _expect_mapping(data.get("charge", {}), "charge")
-        _check_keys(charge, ("mode", "amplitude"), "charge")
-        coupling = _expect_mapping(data.get("coupling", {}), "coupling")
-        _check_keys(coupling, ("beta", "gamma"), "coupling")
-        kmat = permittivity.get("k")
-        charge_mode = charge.get("mode", "cosine")
-        if not isinstance(charge_mode, str):
-            raise ConfigError("'charge.mode' must be a string")
         try:
-            self.material = Material(
-                elastic=ElasticParams(
-                    mu=_num(elastic, "mu", 1.0, "elastic", positive=True),
-                    lam=_num(elastic, "lam", 1.0, "elastic", positive=True),
-                    q_w=_num(elastic, "q_w", 26.0, "elastic", positive=True),
-                ),
-                hyper=HyperParams(
-                    q_h=_num(hyper, "q_h", 4.0, "hyper", positive=True),
-                    alpha_h=_num(hyper, "alpha_h", 10.5, "hyper", positive=True),
-                    c_h=_num(hyper, "c_h", 1.0, "hyper", positive=True),
-                ),
-                prestrain=PrestrainModel(B0=_matrix3(prestrain, "B0", "prestrain"), B1=_matrix3(prestrain, "B1", "prestrain")),
-                permittivity=PermittivityModel() if kmat is None else PermittivityModel(k=_matrix3(permittivity, "k", "permittivity")),
-                charge=ChargeModel(mode=charge_mode, amplitude=_num(charge, "amplitude", 1.0, "charge")),
-                coupling=CouplingConstants(
-                    beta=_num(coupling, "beta", 1.0, "coupling", positive=True),
-                    gamma=_num(coupling, "gamma", 1.0, "coupling"),
-                ),
-            )
+            self.material = Material(**{name: model(**_section(data, name)) for name, model in _MATERIAL.items()})
         except ValueError as exc:
             raise ConfigError(f"inadmissible material parameters: {exc}")
 
-        isometry = _expect_mapping(data.get("isometry", {}), "isometry")
-        _check_keys(isometry, ("kind", "offset", "slope", "amplitude"), "isometry")
-        kind = isometry.get("kind", "linear")
-        if kind not in ("constant", "linear", "cosine"):
+        self.isometry = {"kind": "linear", "offset": 0.0, "slope": 1.0, "amplitude": 0.5, **_section(data, "isometry")}
+        if self.isometry["kind"] not in ("constant", "linear", "cosine"):
             raise ConfigError("'isometry.kind' must be constant, linear or cosine")
-        self.isometry = {
-            "kind": kind,
-            "offset": _num(isometry, "offset", 0.0, "isometry"),
-            "slope": _num(isometry, "slope", 1.0, "isometry"),
-            "amplitude": _num(isometry, "amplitude", 0.5, "isometry"),
-        }
 
-        solver = _expect_mapping(data.get("solver", {}), "solver")
-        _check_keys(solver, ("poisson_tol", "grad_tol", "max_iters"), "solver")
-        self.poisson_tol = _num(solver, "poisson_tol", 1e-10, "solver", positive=True)
-        self.grad_tol = _num(solver, "grad_tol", 1e-7, "solver", positive=True)
-        self.max_iters = _num(solver, "max_iters", 200, "solver", positive=True, integer=True)
+        solver = _section(data, "solver")
+        self.poisson_tol = solver.get("poisson_tol", 1e-10)
+        self.grad_tol = solver.get("grad_tol", 1e-7)
+        self.max_iters = solver.get("max_iters", 200)
 
-        output = _expect_mapping(data.get("output", {}), "output")
-        _check_keys(output, ("dir",), "output")
-        self.out_dir = output.get("dir", "out")
-        if not isinstance(self.out_dir, str):
-            raise ConfigError("'output.dir' must be a string")
+        self.out_dir = _section(data, "output").get("dir", "out")
 
         mode = data.get("mode")
         if mode is not None and mode not in _MODES:
             raise ConfigError(f"'mode' must be one of {_MODES}")
         self.mode = mode
-        self.seed = _num(data, "seed", 0, "<top-level>", integer=True)
-        if self.seed < 0:
+        seed = data.get("seed", 0)
+        if _parse(seed, "number", "seed") < 0 or int(seed) != seed:
             raise ConfigError("'seed' must be a nonnegative integer")
+        self.seed = int(seed)
 
     @classmethod
     def from_file(cls, path):
@@ -318,13 +297,14 @@ def saddle_probe(F, point, n_probes=50, radius=1e-3, rng=None, sides=("phi", "y"
 # 3D alternating solver
 
 
-def solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-10, grad_tol=1e-7, max_iters=100, probe_count=8, probe_radius=1e-3, rng=None):
+def solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-10, grad_tol=1e-7, max_iters=100, rng=None):
     """Alternate exact potential solves with backtracking descent in y.
 
     Returns (y, phi, history, converged). Each history row records the
     energy after the potential step and after the deformation step, the
     gradient norm, the accepted step, the weak-form residual of the solve,
-    and the phi-side saddle probe at the fresh potential.
+    and the phi-side saddle probe (8 probes of radius 1e-3) at the fresh
+    potential.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -346,7 +326,7 @@ def solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-10, grad_tol=1e-7
     step = 1.0
     phi = None
     for _ in range(int(max_iters)):
-        phi = electro3d.solve_potential3(system, tol=poisson_tol, x0=phi)
+        phi = system.solve(tol=poisson_tol, x0=phi)
         # F_eps = M_eps - E_eps with M_eps and the assembled system
         # independent of phi: the phi-side evaluations are quadratic forms of
         # the iterate's system next to one M_eps
@@ -357,7 +337,7 @@ def solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-10, grad_tol=1e-7
             return m_y - electro3d.electrostatic_energy(*system.energy_parts(p))
 
         f_phi = m_y - electro3d.electrostatic_energy(*parts)
-        probe = saddle_probe(F_frozen_y, (y, phi), n_probes=probe_count, radius=probe_radius, rng=rng, sides=("phi",))
+        probe = saddle_probe(F_frozen_y, (y, phi), n_probes=8, radius=1e-3, rng=rng, sides=("phi",))
         # the gradient needs no system and each trial assembles its own:
         # dropping this one (found holds it too) keeps one alive at a time
         system = found = None
@@ -383,7 +363,7 @@ def solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-10, grad_tol=1e-7
         history.append((f_phi, f_y, gnorm, step, pg0, probe["phi_side"]))
     if system is None:
         system = electro3d.assemble_poisson3(y, grid, eps, mat)
-    phi = electro3d.solve_potential3(system, tol=poisson_tol, x0=phi)
+    phi = system.solve(tol=poisson_tol, x0=phi)
     return y, phi, np.array(history), converged
 
 
@@ -410,7 +390,10 @@ def _write_json(path, payload):
 
 def _cmd_sweep(cfg, out_dir):
     inputs = cfg.recovery_inputs(cfg.grid2())
-    rows = recovery_sweep(inputs, cfg.material, cfg.grid3(), cfg.eps_list, solver_tol=cfg.poisson_tol)
+    try:
+        rows = recovery_sweep(inputs, cfg.material, cfg.grid3(), cfg.eps_list, solver_tol=cfg.poisson_tol)
+    except (ValueError, electro3d.SolverError) as exc:  # the 2D targets failed; a failed 3D row stays in rows instead
+        return _report_failure(out_dir, exc, mode="sweep", seed=cfg.seed, eps=cfg.eps_list)
     _write_csv(os.path.join(out_dir, "sweep.csv"), SWEEP_COLUMNS, [r.values() for r in rows])
     xs = [r.eps for r in rows]
     svgplot.write_loglog_svg(

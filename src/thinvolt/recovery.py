@@ -53,13 +53,16 @@ class RecoveryInputs:
 
     def g_values(self, grid):
         """Nodal samples of g on the (x1, x2) nodes, shape (n1, n2, 2)."""
-        X1 = grid.x1[:, None]
-        X2 = grid.x2[None, :]
-        S = self.g_matrix
-        g = np.zeros((grid.n1, grid.n2, 2))
-        g[..., 0] = S[0, 0] * X1 + S[0, 1] * X2
-        g[..., 1] = S[1, 0] * X1 + S[1, 1] * X2
-        return g
+        return _linear_field(self.g_matrix, grid)
+
+
+def _linear_field(S, grid):
+    """Nodal samples of the in-plane field g(x') = S x' on the (x1, x2) nodes, shape (n1, n2, 2)."""
+    S = np.asarray(S, dtype=float).reshape(2, 2)
+    g = np.zeros((grid.n1, grid.n2, 2))
+    g[..., 0] = S[0, 0] * grid.x1[:, None] + S[0, 1] * grid.x2[None, :]
+    g[..., 1] = S[1, 0] * grid.x1[:, None] + S[1, 1] * grid.x2[None, :]
+    return g
 
 
 def optimal_corrector(inputs, grid, rq):
@@ -126,16 +129,13 @@ def lift_deformation(y0, eps, grid, g_matrix=None, d=None):
     if grid.n1 != y0.grid.n1 or grid.n2 != y0.grid.n2:
         raise ValueError("3D grid must share the in-plane nodes of the midsurface grid")
     ymid = y0.deformation_nodes()  # (n1, n2, 3)
-    nu = CylindricalIsometry.normal_of(y0.theta)  # (n1, 3)
-    tang = CylindricalIsometry.tangent_of(y0.theta)
+    R = CylindricalIsometry.frame_of(y0.theta)  # (n1, 3, 3), columns (tangent, e2, normal)
     y = np.zeros(grid.shape + (3,))
     y += ymid[:, :, None, :]
-    y += eps * grid.x3[None, None, :, None] * nu[:, None, None, :]
+    y += eps * grid.x3[None, None, :, None] * R[:, None, None, :, 2]
     if g_matrix is not None and np.any(np.asarray(g_matrix) != 0.0):
-        S = np.asarray(g_matrix, dtype=float).reshape(2, 2)
-        g1 = S[0, 0] * grid.x1[:, None] + S[0, 1] * grid.x2[None, :]
-        g2 = S[1, 0] * grid.x1[:, None] + S[1, 1] * grid.x2[None, :]
-        trans = g1[..., None] * tang[:, None, :] + g2[..., None] * np.array([0.0, 1.0, 0.0])
+        g = _linear_field(g_matrix, grid)
+        trans = g[..., 0, None] * R[:, None, :, 0] + g[..., 1, None] * R[:, None, :, 1]
         y += eps * trans[:, :, None, :]
     if d is not None:
         y += eps * eps * _cumulative_from_zero(np.asarray(d, dtype=float), grid)
@@ -267,23 +267,21 @@ class SweepRow:
 SWEEP_COLUMNS = [f.name for f in dataclasses.fields(SweepRow) if f.type is float]
 
 
-def recovery_sweep(inputs, mat, grid, eps_list, use_mollifier=False, solver_tol=1e-9, rq=None):
+def recovery_sweep(inputs, mat, grid, eps_list, solver_tol=1e-9):
     """Evaluate the lifted trial pair along a decreasing thickness sweep.
 
-    For each eps: build the corrector (optionally smoothed), lift the
-    deformation, solve the 3D potential on it, and record scaled energies
-    next to the 2D targets. A row whose deformation loses orientation or
-    whose potential solve fails is kept with NaN entries, ok = False and the
-    error in reason; the sweep continues.
+    For each eps: lift the deformation with the optimal corrector, solve
+    the 3D potential on it, and record scaled energies next to the 2D
+    targets. A row whose deformation loses orientation or whose potential
+    solve fails is kept with NaN entries, ok = False and the error in
+    reason; the sweep continues.
     """
     eps_list = [float(e) for e in eps_list]
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
-    if rq is None:
-        rq = RelaxedQ2.of(mat)
+    rq = RelaxedQ2.of(mat)
     y0 = inputs.isometry
-    grid2 = y0.grid
-    dbar = optimal_corrector(inputs, grid, rq)
+    d = optimal_corrector(inputs, grid, rq)
     m0 = bending2d.M0(y0, rq)
     phi0 = bending2d.solve_potential2(y0, mat, tol=solver_tol)
     e0 = bending2d.E0(y0, phi0, mat)
@@ -291,16 +289,13 @@ def recovery_sweep(inputs, mat, grid, eps_list, use_mollifier=False, solver_tol=
     for eps in eps_list:
         row = SweepRow(eps=eps)
         rows.append(row)
-        d = dbar
-        if use_mollifier:
-            d, _ = mollify_field(dbar, grid, eps, q_h=mat.hyper.q_h)
         try:
             y = lift_deformation(y0, eps, grid, inputs.g_matrix, d)
             mel, hyp = elastic3d.M_eps_parts(y, grid, eps, mat)
             if not np.isfinite(mel):
                 raise ValueError("lifted deformation loses orientation")
             system = electro3d.assemble_poisson3(y, grid, eps, mat)
-            phi = electro3d.solve_potential3(system, tol=solver_tol)
+            phi = system.solve(tol=solver_tol)
             parts = system.energy_parts(phi)
         except (ValueError, electro3d.SolverError) as exc:
             row.reason = f"{type(exc).__name__}: {exc}"

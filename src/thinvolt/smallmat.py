@@ -70,24 +70,26 @@ def sym_part(M):
     return 0.5 * (M + np.swapaxes(M, -1, -2))
 
 
-def nearest_rotation(F, tol=1e-13, max_iter=50):
+def nearest_rotation(F):
     """Rotation factor of the polar decomposition of F, for det F > 0.
 
     Newton iteration X <- (X + X^{-T}) / 2, started at F, with
     X^{-T} = Cof(X) / det(X). Converges quadratically to the orthogonal
     polar factor for any invertible F; orientation is preserved, so
-    det F > 0 is required for a rotation. Batched over leading axes.
+    det F > 0 is required for a rotation. Batched over leading axes; stops
+    after 50 steps, or once a step moves no entry by more than 1e-13 times
+    max(1, max |X|).
     """
     F = _check_square(F, 3, "F")
     d = det3(F)
     if np.any(d <= 0.0):
         raise ValueError("nearest_rotation: det F must be positive")
     X = F.copy()
-    for _ in range(max_iter):
+    for _ in range(50):
         Xn = 0.5 * (X + cofactor3(X) / det3(X)[..., None, None])
         delta = np.max(np.abs(Xn - X))
         X = Xn
-        if delta <= tol * max(1.0, np.max(np.abs(X))):
+        if delta <= 1e-13 * max(1.0, np.max(np.abs(X))):
             break
     return X
 

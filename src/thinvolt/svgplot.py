@@ -11,11 +11,12 @@ def _decades(lo, hi):
     return range(int(math.ceil(lo)), int(math.floor(hi)) + 1)
 
 
-def write_loglog_svg(path, xs, series, title="", width=640, height=420):
-    """Write a log-log polyline plot; series is a list of (label, ys) pairs.
+def write_loglog_svg(path, xs, series, title=""):
+    """Write a 640x420 log-log polyline plot; series is a list of (label, ys) pairs.
 
     Non-positive or non-finite points are dropped per series. Returns path.
     """
+    width, height = 640, 420
     ml, mr, mt, mb = 64, 16, 28, 40
     pts = []
     for label, ys in series:

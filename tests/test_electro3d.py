@@ -381,7 +381,8 @@ def test_pcg_solves_singular_consistent_system():
     rng = np.random.default_rng(18)
     b = rng.standard_normal(n)
     b -= b.mean()
-    x, hist = pcg(lambda v: L @ v, b, np.diagonal(L).copy(), tol=1e-12)
+    d = np.diagonal(L).copy()
+    x, hist = pcg(lambda v: L @ v, b, lambda r: r / d, tol=1e-12)
     assert np.linalg.norm(L @ x - b) <= 1e-11 * np.linalg.norm(b)
     assert abs(x.mean()) < 1e-12
     assert hist[-1] <= 1e-12
@@ -392,15 +393,41 @@ def test_pcg_zero_load_and_failure_modes():
     L = np.zeros((n, n))
     for i in range(n - 1):
         L[i : i + 2, i : i + 2] += np.array([[1.0, -1.0], [-1.0, 1.0]])
-    x, hist = pcg(lambda v: L @ v, np.zeros(n), np.diagonal(L).copy(), tol=1e-12)
+    d = np.diagonal(L).copy()
+    x, hist = pcg(lambda v: L @ v, np.zeros(n), lambda r: r / d, tol=1e-12)
     assert np.all(x == 0.0) and hist == [0.0]
     rng = np.random.default_rng(21)
     b = rng.standard_normal(n)
     with pytest.raises(SolverError) as err:
-        pcg(lambda v: L @ v, b, np.diagonal(L).copy(), tol=1e-14, max_iter=1)
+        pcg(lambda v: L @ v, b, lambda r: r / d, tol=1e-14, max_iter=1)
     assert len(err.value.residuals) >= 1
-    with pytest.raises(ValueError):
-        pcg(lambda v: L @ v, b, np.zeros(n), tol=1e-10)
+
+
+@pytest.mark.parametrize("dim", [2, 3], ids=["grid2", "grid3"])
+def test_system_rejects_a_nonpositive_diagonal(dim):
+    # a zero coefficient gives a zero operator diagonal: no preconditioner exists
+    grid = Grid2(5, 4) if dim == 2 else Grid3(5, 4, 3)
+    coef = np.zeros(grid.cshape + (dim, dim))
+    with pytest.raises(ValueError, match="diagonal must be positive"):
+        PoissonSystem(grid, coef, np.zeros(grid.shape))
+
+
+@pytest.mark.parametrize("dim", [2, 3], ids=["grid2", "grid3"])
+def test_system_solve_is_pcg_with_its_own_preconditioner(dim):
+    # the Grid2 system preconditions with Jacobi, the Grid3 system with its
+    # x3-line blocks; solve is pcg with that preconditioner, then the gauge
+    system, _, _, _ = _curved_system(dim)
+    x0 = np.random.default_rng(26).standard_normal(system.grid.shape)
+    for start in (None, x0):
+        x, _ = pcg(system.matvec, system.b, system.precondition, tol=1e-12, x0=start)
+        phi = x.reshape(system.grid.shape)
+        want = phi - float(np.sum(system.weights * phi))
+        assert np.array_equal(system.solve(tol=1e-12, x0=start), want)
+    r = np.random.default_rng(27).standard_normal(system.grid.shape).ravel()
+    if dim == 2:
+        assert np.array_equal(system.precondition(r), r / system.diag.ravel())
+    else:
+        assert not np.allclose(system.precondition(r), r / system.diag.ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +472,6 @@ def test_line_preconditioned_pcg_iterations_flat_in_eps():
     for eps in cfg.eps_list:
         y = lift_deformation(inputs.isometry, eps, grid, inputs.g_matrix, d)
         system = assemble_poisson3(y, grid, eps, mat)
-        x, hist = pcg(system.matvec, system.b, system.diag, tol=cfg.poisson_tol, precond=system.precondition)
+        x, hist = pcg(system.matvec, system.b, system.precondition, tol=cfg.poisson_tol)
         assert hist[-1] <= cfg.poisson_tol
         assert len(hist) - 1 <= 100, (eps, len(hist) - 1)

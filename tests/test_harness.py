@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -49,6 +50,14 @@ def test_config_defaults():
     assert grid.shape == (17, 17, 9)
 
 
+def test_config_material_defaults_are_the_dataclass_defaults():
+    got, want = RunConfig({}).material, Material()
+    for section in dataclasses.fields(Material):
+        a, b = getattr(got, section.name), getattr(want, section.name)
+        for f in dataclasses.fields(b):
+            assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), (section.name, f.name)
+
+
 @pytest.mark.parametrize(
     "data",
     [
@@ -74,6 +83,9 @@ def test_config_defaults():
         {"permittivity": {"k": [[1, 0, 0], [0, 1, 0], [0, 0, "4"]]}},
         {"permittivity": {"k": [[True, False, False], [False, True, False], [False, False, True]]}},
         {"prestrain": {"B1": [["0.5", 0, 0], [0, 0, 0], [0, 0, 0]]}},
+        {"prestrain": {"B0": None}},
+        {"prestrain": {"B1": None}},
+        {"permittivity": {"k": None}},
     ],
 )
 def test_config_rejections(data):
@@ -643,6 +655,28 @@ def test_cli_solve2d_failed_potential_solve_reports_error(tmp_path, capsys):
     assert summary["pass"] is False and summary["mode"] == "solve2d" and summary["seed"] == 0
     assert summary["error"] == "SolverError: pcg: operator lost positive definiteness"
     assert not (out / "solve2d_history.csv").exists()
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_sweep_failed_target_solve_reports_error(tmp_path, capsys, monkeypatch):
+    from thinvolt import bending2d, electro3d
+
+    def failing(*args, **kwargs):
+        raise electro3d.SolverError("pcg: operator lost positive definiteness", [1.0])
+
+    monkeypatch.setattr(bending2d, "solve_potential2", failing)
+    cfgpath = _write_config(tmp_path / "cfg.json")
+    out = tmp_path / "out"
+    assert cli_main(["sweep", "--config", cfgpath, "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary == {
+        "mode": "sweep",
+        "seed": 0,
+        "eps": [0.25, 0.125, 0.0625],
+        "error": "SolverError: pcg: operator lost positive definiteness",
+        "pass": False,
+    }
+    assert not (out / "sweep.csv").exists()
     assert capsys.readouterr().err == ""
 
 

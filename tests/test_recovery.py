@@ -45,7 +45,7 @@ def test_corrector_closed_form_no_prestrain():
     inputs = RecoveryInputs(isometry=y0, prestrain=mat.prestrain)
     d = optimal_corrector(inputs, grid3, _rq(mat))
     assert d.shape == grid3.shape + (3,)
-    nu = CylindricalIsometry.normal_of(y0.theta)  # (n1, 3)
+    nu = CylindricalIsometry.frame_of(y0.theta)[..., 2]  # (n1, 3), the bending normal
     want = (
         -(kap / 3.0)
         * grid3.x3[None, None, :, None]
@@ -123,6 +123,27 @@ def test_lift_corrector_integration_is_exact_trapezoid():
     want = eps * eps * prof[None, None, :, None] * a
     want = want - fields.node_mean(np.broadcast_to(want, grid3.shape + (3,)), grid3)
     assert np.max(np.abs(got - want)) < 1e-13
+
+
+def test_lift_in_plane_term_is_the_linear_field_in_the_bending_frame():
+    # eps (g1 t + g2 e2) with g(x') = S x' and the tangent t = (cos, 0, -sin)
+    grid2 = Grid2(7, 5)
+    grid3 = Grid3(7, 5, 5)
+    theta = 0.4 * grid2.x1
+    y0 = CylindricalIsometry(grid2, theta)
+    eps = 0.25
+    S = np.array([[0.3, -0.2], [0.1, 0.5]])
+    got = lift_deformation(y0, eps, grid3, S) - lift_deformation(y0, eps, grid3)
+    X1, X2 = np.meshgrid(grid3.x1, grid3.x2, indexing="ij")
+    g1 = S[0, 0] * X1 + S[0, 1] * X2
+    g2 = S[1, 0] * X1 + S[1, 1] * X2
+    tang = np.stack([np.cos(theta), np.zeros_like(theta), -np.sin(theta)], axis=-1)
+    want = eps * (g1[..., None] * tang[:, None, :] + g2[..., None] * np.array([0.0, 1.0, 0.0]))
+    want = np.broadcast_to(want[:, :, None, :], grid3.shape + (3,))
+    want = want - fields.node_mean(want, grid3)
+    assert np.max(np.abs(got - want)) < 1e-14
+    inputs = RecoveryInputs(y0, PrestrainModel(B0=np.pad(0.5 * (S + S.T), ((0, 1), (0, 1)))), S)
+    assert np.array_equal(inputs.g_values(grid3), np.stack([g1, g2], axis=-1))
 
 
 def test_lift_validation():
@@ -334,7 +355,7 @@ def test_recovery_sweep_releases_each_rows_system(monkeypatch):
     # only reference counting can free it
     from thinvolt import electro3d
 
-    assemble, solve = electro3d.assemble_poisson3, electro3d.solve_potential3
+    assemble, solve = electro3d.assemble_poisson3, electro3d.PoissonSystem3.solve
     refs = []
 
     def watched_assemble(*args):
@@ -349,7 +370,7 @@ def test_recovery_sweep_releases_each_rows_system(monkeypatch):
         return solve(system, **kwargs)
 
     monkeypatch.setattr(electro3d, "assemble_poisson3", watched_assemble)
-    monkeypatch.setattr(electro3d, "solve_potential3", solve_failing_second)
+    monkeypatch.setattr(electro3d.PoissonSystem3, "solve", solve_failing_second)
     grid2 = Grid2(9, 9)
     y0 = CylindricalIsometry(grid2, grid2.x1)
     mat = Material()
@@ -361,13 +382,3 @@ def test_recovery_sweep_releases_each_rows_system(monkeypatch):
         gc.enable()
     assert len(refs) == 3 and all(ref() is None for ref in refs)
     assert [row.ok for row in rows] == [True, False, True]
-
-
-def test_recovery_sweep_with_mollifier():
-    grid2 = Grid2(9, 7)
-    grid3 = Grid3(9, 7, 5)
-    mat = Material()
-    y0 = CylindricalIsometry(grid2, 0.5 * grid2.x1)
-    inputs = RecoveryInputs(isometry=y0, prestrain=mat.prestrain)
-    rows = recovery_sweep(inputs, mat, grid3, [0.25], use_mollifier=True, solver_tol=1e-10)
-    assert rows[0].ok and np.isfinite(rows[0].F_eps)
