@@ -49,15 +49,16 @@ class ConfigError(Exception):
 
 # every key of every config section, with its kind: "number" (finite),
 # "positive", "count" (a positive integer), "matrix" (3x3 numbers) or "text";
-# the material sections carry the field names of their dataclasses
+# the material sections carry the field names of their dataclasses, as plain
+# numbers: the dataclasses check their admissible ranges
 _SECTIONS = {
     "grid": {"n1": "count", "n2": "count", "n3": "count", "n1_2d": "count", "n2_2d": "count"},
-    "elastic": {"mu": "positive", "lam": "positive", "q_w": "positive"},
-    "hyper": {"q_h": "positive", "alpha_h": "positive", "c_h": "positive"},
+    "elastic": {"mu": "number", "lam": "number", "q_w": "number"},
+    "hyper": {"q_h": "number", "alpha_h": "number", "c_h": "number"},
     "prestrain": {"B0": "matrix", "B1": "matrix"},
     "permittivity": {"k": "matrix"},
     "charge": {"mode": "text", "amplitude": "number"},
-    "coupling": {"beta": "positive", "gamma": "number"},
+    "coupling": {"beta": "number", "gamma": "number"},
     "isometry": {"kind": "text", "offset": "number", "slope": "number", "amplitude": "number"},
     "solver": {"poisson_tol": "positive", "grad_tol": "positive", "max_iters": "count"},
     "output": {"dir": "text"},

@@ -169,16 +169,15 @@ def lift_potential(phi0, m, eps, grid):
 
 
 def _mollifier_evaluation(v, d, grid, eps, tau, q_h):
-    """(objective, (v, G, H)): the smoothing objective with the derivatives it took."""
+    """(objective, (v, G, H, |G|^2, |H|^2)): the smoothing objective with the derivatives and per-cell squared norms it took."""
     v = np.asarray(v, dtype=float)
     d = np.asarray(d, dtype=float)
     G = fields.scaled_gradient(v, grid, 1.0)
     H = fields.scaled_hessian(v, grid, 1.0)
-    gn = np.sum(G * G, axis=(-2, -1)) ** (q_h / 2.0)
-    hn = np.sum(H * H, axis=(-3, -2, -1)) ** (q_h / 2.0)
-    pen = (eps**tau / q_h) * fields.integrate3(gn + hn, grid)
+    g2, h2 = (np.einsum("nk,nk->n", X, X).reshape(grid.cshape) for X in (G.reshape(-1, 9), H.reshape(-1, 27)))
+    pen = (eps**tau / q_h) * fields.integrate3(g2 ** (q_h / 2.0) + h2 ** (q_h / 2.0), grid)
     fid = 0.5 * float(np.sum(grid.node_measure()[..., None] * (v - d) ** 2))
-    return pen + fid, (v, G, H)
+    return pen + fid, (v, G, H, g2, h2)
 
 
 def mollifier_objective(v, d, grid, eps, tau, q_h):
@@ -186,16 +185,17 @@ def mollifier_objective(v, d, grid, eps, tau, q_h):
     return _mollifier_evaluation(v, d, grid, eps, tau, q_h)[0]
 
 
+def _norm_weight(n2, q_h):
+    """|X|^(q_h - 2) from the squared norm n2, zero where n2 is."""
+    return np.where(n2 > 0, n2, 1.0) ** (q_h / 2.0 - 1.0) * (n2 > 0)
+
+
 def _mollifier_gradient(state, d, grid, eps, tau, q_h):
-    """Gradient of the smoothing objective from an evaluation's (v, G, H)."""
-    v, G, H = state
-    vol = grid.cell_volume
-    gn2 = np.sum(G * G, axis=(-2, -1))
-    wG = np.where(gn2 > 0, gn2, 1.0) ** (q_h / 2.0 - 1.0) * (gn2 > 0)
-    out = fields.gradient_scatter(eps**tau * vol * wG[..., None, None] * G, grid, 1.0)
-    hn2 = np.sum(H * H, axis=(-3, -2, -1))
-    wH = np.where(hn2 > 0, hn2, 1.0) ** (q_h / 2.0 - 1.0) * (hn2 > 0)
-    out += fields.hessian_scatter(eps**tau * vol * wH[..., None, None, None] * H, grid, 1.0)
+    """Gradient of the smoothing objective from an evaluation's state."""
+    v, G, H, g2, h2 = state
+    scale = eps**tau * grid.cell_volume
+    out = fields.gradient_scatter(scale * _norm_weight(g2, q_h)[..., None, None] * G, grid, 1.0)
+    out += fields.hessian_scatter(scale * _norm_weight(h2, q_h)[..., None, None, None] * H, grid, 1.0)
     out += grid.node_measure()[..., None] * (v - d)
     return out
 
@@ -204,10 +204,11 @@ def mollify_field(d, grid, eps, tau=None, q_h=4.0, iters=500, grad_tol=1e-8):
     """Minimize the smoothing objective by L-BFGS from the raw field.
 
     The metric is the lumped trapezoid mass, the Hessian of the fidelity
-    term; the gradient and the seminorm reuse each evaluation's derivatives.
-    Returns (smoothed field, info dict); info["iters"] counts gradient
-    evaluations and info["converged"] says whether the gradient norm at the
-    returned field is at most grad_tol. The penalty exponent tau defaults
+    term; the gradient and the seminorm reuse each evaluation's derivatives
+    and per-cell squared norms. Returns (smoothed field, info dict);
+    info["iters"] counts gradient evaluations and info["converged"] says
+    whether the gradient norm at the returned field is at most grad_tol.
+    The penalty exponent tau defaults
     to q_h / 2; it must stay inside (0, q_h) for the fidelity term to win
     in the small-eps limit.
     """
@@ -220,7 +221,7 @@ def mollify_field(d, grid, eps, tau=None, q_h=4.0, iters=500, grad_tol=1e-8):
         raise ValueError("mollify_field expects a nodal (n1,n2,n3,3) field")
     wn = grid.node_measure()
     inv_mass = 1.0 / wn[..., None]
-    v, (_, _, H), run = optimize.lbfgs(
+    v, (*_, h2), run = optimize.lbfgs(
         lambda u: _mollifier_evaluation(u, d, grid, eps, tau, q_h),
         lambda state: _mollifier_gradient(state, d, grid, eps, tau, q_h),
         d,
@@ -229,7 +230,7 @@ def mollify_field(d, grid, eps, tau=None, q_h=4.0, iters=500, grad_tol=1e-8):
         grad_tol=grad_tol,
     )
     l2 = float(np.sqrt(np.sum(wn[..., None] * (v - d) ** 2)))
-    semi = fields.integrate3(np.sum(H * H, axis=(-3, -2, -1)) ** (q_h / 2.0), grid) ** (1.0 / q_h)
+    semi = fields.integrate3(h2 ** (q_h / 2.0), grid) ** (1.0 / q_h)
     info = {
         "iters": run["iters"],
         "grad_norm": run["grad_norm"],

@@ -76,22 +76,26 @@ def nearest_rotation(F):
     Newton iteration X <- (X + X^{-T}) / 2, started at F, with
     X^{-T} = Cof(X) / det(X). Converges quadratically to the orthogonal
     polar factor for any invertible F; orientation is preserved, so
-    det F > 0 is required for a rotation. Batched over leading axes; stops
-    after 50 steps, or once a step moves no entry by more than 1e-13 times
-    max(1, max |X|).
+    det F > 0 is required for a rotation. Batched over leading axes; each
+    matrix stops after 50 steps, or once a step moves none of its entries by
+    more than 1e-13 times max(1, max |X|), so its result does not depend on
+    the rest of the batch.
     """
     F = _check_square(F, 3, "F")
     d = det3(F)
     if np.any(d <= 0.0):
         raise ValueError("nearest_rotation: det F must be positive")
-    X = F.copy()
+    X = F.reshape(-1, 3, 3).copy()
+    active = np.arange(len(X))
     for _ in range(50):
-        Xn = 0.5 * (X + cofactor3(X) / det3(X)[..., None, None])
-        delta = np.max(np.abs(Xn - X))
-        X = Xn
-        if delta <= 1e-13 * max(1.0, np.max(np.abs(X))):
+        Xa = X[active]
+        Xn = 0.5 * (Xa + cofactor3(Xa) / det3(Xa)[:, None, None])
+        X[active] = Xn
+        delta = np.max(np.abs(Xn - Xa), axis=(1, 2))
+        active = active[delta > 1e-13 * np.maximum(1.0, np.max(np.abs(Xn), axis=(1, 2)))]
+        if not len(active):
             break
-    return X
+    return X.reshape(F.shape)
 
 
 def dist_SO3_sq(F):

@@ -109,14 +109,15 @@ def test_gradient_scatter_adjoint():
 
 
 def test_hessian_scatter_adjoint():
-    g = Grid3(6, 5, 4)
+    # two grids with three distinct node counts, ordered both ways
     eps = 0.25
     rng = np.random.default_rng(5)
-    y = rng.standard_normal(g.shape + (3,))
-    P = rng.standard_normal(g.cshape + (3, 3, 3))
-    lhs = np.sum(fields.scaled_hessian(y, g, eps) * P)
-    rhs = np.sum(y * fields.hessian_scatter(P, g, eps))
-    assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+    for g in (Grid3(6, 5, 4), Grid3(5, 6, 7)):
+        y = rng.standard_normal(g.shape + (3,))
+        P = rng.standard_normal(g.cshape + (3, 3, 3))
+        lhs = np.sum(fields.scaled_hessian(y, g, eps) * P)
+        rhs = np.sum(y * fields.hessian_scatter(P, g, eps))
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
 def _difference_matrices(n, h):
@@ -151,20 +152,24 @@ def _hessian_kron(g, eps, i, j):
 
 @pytest.mark.parametrize("eps", [0.3, 1.0])
 def test_scaled_hessian_and_scatter_match_kronecker_reference(eps):
-    g = Grid3(6, 5, 4)
+    # distinct node counts per axis, so a mix-up of the per-axis factors shows
     rng = np.random.default_rng(11)
-    y = rng.standard_normal(g.shape + (3,))
-    W = rng.standard_normal(g.cshape + (3, 3, 3))  # not symmetric in (i, j)
-    H = fields.scaled_hessian(y, g, eps)
-    out = np.zeros((math.prod(g.shape), 3))
-    for i in range(3):
-        for j in range(3):
-            K = _hessian_kron(g, eps, i, j)
-            ref = (K @ y.reshape(-1, 3)).reshape(g.cshape + (3,))
-            assert np.max(np.abs(H[..., i, j, :] - ref)) <= 1e-12 * np.max(np.abs(ref))
-            out += K.T @ W[..., i, j, :].reshape(-1, 3)
-    scatter = fields.hessian_scatter(W, g, eps)
-    assert np.max(np.abs(scatter - out.reshape(g.shape + (3,)))) <= 1e-12 * np.max(np.abs(out))
+    for g in (Grid3(6, 5, 4), Grid3(5, 6, 7)):
+        y = rng.standard_normal(g.shape + (3,))
+        W = rng.standard_normal(g.cshape + (3, 3, 3))  # not symmetric in (i, j)
+        H = fields.scaled_hessian(y, g, eps)
+        out = np.zeros((math.prod(g.shape), 3))
+        for i in range(3):
+            for j in range(3):
+                K = _hessian_kron(g, eps, i, j)
+                ref = (K @ y.reshape(-1, 3)).reshape(g.cshape + (3,))
+                assert np.max(np.abs(H[..., i, j, :] - ref)) <= 1e-12 * np.max(np.abs(ref))
+                out += K.T @ W[..., i, j, :].reshape(-1, 3)
+        out = out.reshape(g.shape + (3,))
+        # W in C order, and W laid out like H (as a product with H is)
+        for W_in in (W, W + 0.0 * H):
+            scatter = fields.hessian_scatter(W_in, g, eps)
+            assert np.max(np.abs(scatter - out)) <= 1e-12 * np.max(np.abs(out))
 
 
 def test_scaled_gradient_exact_on_trilinear():

@@ -93,6 +93,15 @@ def test_config_rejections(data):
         RunConfig(data)
 
 
+def test_config_material_ranges_are_the_dataclass_ranges(tmp_path):
+    # lam = 0 is admissible for ElasticParams (gamma_d = 0), so the config accepts it
+    assert RunConfig({"elastic": {"lam": 0}}).material.elastic.lam == 0.0
+    assert cli_main(["relax", "--config", _write_config(tmp_path / "ok.json", extra={"elastic": {"lam": 0}}), "--out", str(tmp_path / "ok")]) == 0
+    out = tmp_path / "bad"
+    assert cli_main(["relax", "--config", _write_config(tmp_path / "bad.json", extra={"elastic": {"lam": -1}}), "--out", str(out)]) == 2
+    assert not (out / "relax.json").exists()
+
+
 def test_config_from_file_errors(tmp_path):
     with pytest.raises(ConfigError):
         RunConfig.from_file(str(tmp_path / "missing.json"))

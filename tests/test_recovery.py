@@ -267,6 +267,29 @@ def test_mollifier_takes_derivatives_once_per_evaluation(monkeypatch):
     assert calls["mollifier_gradient"] == info["iters"]
 
 
+def test_mollifier_gradient_matches_central_differences():
+    # the gradient reuses the evaluation's squared norms: compare it with
+    # central differences of the objective along random directions
+    from thinvolt.recovery import _mollifier_evaluation, _mollifier_gradient
+
+    grid3 = Grid3(6, 5, 4)
+    rng = np.random.default_rng(8)
+    X = np.meshgrid(grid3.x1, grid3.x2, grid3.x3, indexing="ij")
+    v = np.stack([np.sin(sum(a * x for a, x in zip(freq, X))) for freq in rng.uniform(0.5, 3.0, (3, 3))], axis=-1)
+    d = v + 0.1 * rng.standard_normal(v.shape)
+    eps, h = 0.25, 1e-6
+    for q_h in (3.5, 4.0):
+        tau = 0.5 * q_h
+        _, state = _mollifier_evaluation(v, d, grid3, eps, tau, q_h)
+        g = _mollifier_gradient(state, d, grid3, eps, tau, q_h)
+        for _ in range(4):
+            u = rng.standard_normal(v.shape)
+            up = mollifier_objective(v + h * u, d, grid3, eps, tau, q_h)
+            down = mollifier_objective(v - h * u, d, grid3, eps, tau, q_h)
+            fd = (up - down) / (2.0 * h)
+            assert abs(fd - np.sum(g * u)) <= 1e-6 * abs(fd)
+
+
 def test_mollifier_iteration_cap_is_reported():
     grid3 = Grid3(9, 7, 5)
     d = np.zeros(grid3.shape + (3,))

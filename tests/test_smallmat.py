@@ -81,6 +81,17 @@ def test_nearest_rotation_batched():
     assert np.max(np.abs(np.swapaxes(R, -1, -2) @ R - np.eye(3))) <= 1e-12
 
 
+def test_dist_SO3_sq_does_not_depend_on_the_batch():
+    # each matrix stops its own Newton iteration: a mixed batch (det of both
+    # signs) gives every entry its scalar value bit for bit
+    for seed in range(20):
+        F = np.random.default_rng(seed).standard_normal((4, 5, 3, 3))
+        d = dist_SO3_sq(F)
+        assert np.any(det3(F) > 0.0) and np.any(det3(F) < 0.0)
+        for idx in np.ndindex(F.shape[:2]):
+            assert d[idx] == dist_SO3_sq(F[idx])
+
+
 def test_dist_SO3_sq_oracle():
     # sum_i (sigma_i - 1)^2 against numpy SVD; the same formula is the
     # documented fallback for det <= 0 (orientation ignored there)
