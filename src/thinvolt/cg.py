@@ -26,7 +26,8 @@ class SolverError(RuntimeError):
 
 
 def _project(v):
-    v -= v.mean()
+    # v.mean() to the bit, without ndarray.mean's Python-level wrapper
+    v -= np.add.reduce(v) / v.size
     return v
 
 

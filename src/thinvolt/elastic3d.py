@@ -41,24 +41,43 @@ def flat_deformation(grid, eps):
 
 
 def _prestrain_cells(grid, eps, mat, z):
-    """(M^-1, det M) for M = I + eps B at the local x3 coordinate z of every cell."""
+    """(M^-1, det M) for M = I + eps B at the local x3 coordinate z of each x3 layer of cells: (nc3, 3, 3), (nc3,)."""
     t = grid.c3 + (z - 0.5) * grid.h3
     B = mat.prestrain.B(t)  # (nc3, 3, 3)
     M = _EYE3 + eps * B
     detM = det3(M)
     if np.min(detM) <= 0.0:
         raise ValueError("prestrain factor loses orientation at this eps")
-    shape = (1, 1, grid.cshape[2])
-    return np.broadcast_to(inv3(M), shape + (3, 3)), np.broadcast_to(detM, shape)
+    return inv3(M), detM
+
+
+def _layer_matmul(A, B):
+    """A @ B[l] for the cells of every x3 layer l; A is a C-ordered (*cshape, 3, 3) whose buffer is reused.
+
+    Each layer's rows are gathered into one contiguous block and the layers
+    multiply as one (nc3, rows, 3) @ (nc3, 3, 3) matmul, one GEMM per layer:
+    numpy runs the broadcast stacked 3x3 matmul several times slower. The
+    product lands in A's buffer and is copied back to cell order into the
+    gathered block's, so no more than two cell-sized arrays are alive.
+    """
+    nc3 = len(B)
+    rows = np.ascontiguousarray(np.moveaxis(A.reshape(-1, nc3, 3, 3), 1, 0))
+    prod = np.matmul(rows.reshape(nc3, -1, 3), B, out=A.reshape(nc3, -1, 3))
+    out = rows.reshape(-1, nc3, 3, 3)
+    out[...] = np.moveaxis(prod.reshape(nc3, -1, 3, 3), 0, 1)
+    return out.reshape(A.shape)
 
 
 def _gauss_points(y, grid, eps, mat):
-    """Yield (w, z, F M^-1, M^-1, det M) per thickness Gauss point, F = grad_eps y at (0.5, 0.5, z)."""
+    """Yield (w, z, F M^-1, M^-1, det M) per thickness Gauss point, F = grad_eps y at (0.5, 0.5, z).
+
+    M^-1 and det M are per x3 layer of cells, (nc3, 3, 3) and (nc3,).
+    """
     points = fields.gauss_points(1)
     for (z,) in points:
         w = 1.0 / len(points)
         Minv, detM = _prestrain_cells(grid, eps, mat, z)
-        yield w, z, fields.scaled_gradient(y, grid, eps, point=(0.5, 0.5, z)) @ Minv, Minv, detM
+        yield w, z, _layer_matmul(fields.scaled_gradient(y, grid, eps, point=(0.5, 0.5, z)), Minv), Minv, detM
 
 
 def _integrals(y, grid, eps, mat):
@@ -98,7 +117,8 @@ def grad_M_eps(y, grid, eps, mat):
     for w, z, arg, Minv, detM in _gauss_points(y, grid, eps, mat):
         if np.min(det3(arg)) <= 0.0:
             raise ValueError("grad_M_eps: energy is infinite at this deformation")
-        S = dW_el(arg, mat.elastic) @ np.swapaxes(Minv, -1, -2) * (detM * w * scale)[..., None, None]
+        S = _layer_matmul(dW_el(arg, mat.elastic), np.ascontiguousarray(np.swapaxes(Minv, -1, -2)))
+        S *= (detM * w * scale)[:, None, None]
         piece = fields.gradient_scatter(S, grid, eps, point=(0.5, 0.5, z))
         g = piece if g is None else g + piece
     G = fields.scaled_hessian(y, grid, eps)

@@ -26,11 +26,14 @@ from .smallmat import det3
 __all__ = ["PoissonSystem", "PoissonSystem3", "charge_load", "assemble_poisson3", "solve_potential3", "electrostatic_energy", "weak_form_residual", "E_eps", "check_pg0", "SolverError"]
 
 
-def _orientation_check(F, grid):
+def _oriented_gradient(y, grid, eps):
+    """The cell-centre scaled gradient of y; raises, naming the cell, where it loses orientation."""
+    F = fields.scaled_gradient(y, grid, eps)
     d = det3(F)
     if np.min(d) <= 0.0:
         cell = np.unravel_index(int(np.argmin(d)), grid.cshape)
         raise ValueError(f"deformation not orientation-preserving at cell {cell}")
+    return F
 
 
 def _stencil(Kloc, grid):
@@ -184,9 +187,9 @@ def assemble_poisson3(y, grid, eps, mat):
     Rejects deformations with a nonpositive cell determinant, reporting the
     offending cell. beta sits on the stiffness side and gamma on the load.
     """
-    F = fields.scaled_gradient(y, grid, eps)
-    _orientation_check(F, grid)
-    coef = mat.coupling.beta * kappa_pullback(F, mat.permittivity.k)
+    # the gradient is dropped before the system builds its cell stiffness, the run's largest array
+    coef = kappa_pullback(_oriented_gradient(y, grid, eps), mat.permittivity.k)
+    coef *= mat.coupling.beta
     load = charge_load(mat.charge.n_ch(grid.c1)[:, None, None], grid, mat.coupling.gamma)
     return PoissonSystem3(grid, coef, load, eps)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .smallmat import QuadForm3, cofactor3, det3, inv3
+from .smallmat import QuadForm3, cofactor3, cofactor_det3, det3
 
 __all__ = [
     "ElasticParams",
@@ -209,26 +209,43 @@ class Material:
 # elastic density
 
 
+def _gram_strain(F):
+    """F^T F - I, with F^T as a C-ordered operand: the stacked matmul on the transposed view runs several times slower."""
+    C = np.ascontiguousarray(np.swapaxes(F, -1, -2)) @ F
+    C -= _EYE3
+    return C
+
+
 def W_el(F, params):
-    """Elastic energy density; +inf where det F <= 0. Batched."""
+    """Elastic energy density; +inf where det F <= 0 or the barrier h(det F) overflows. Batched."""
     F = np.asarray(F, dtype=float)
-    C = np.swapaxes(F, -1, -2) @ F - _EYE3
-    quart = 0.25 * params.mu * np.sum(C * C, axis=(-2, -1))
+    C = _gram_strain(F)
+    quart = 0.25 * params.mu * np.sum(np.multiply(C, C, out=C), axis=(-2, -1))
     d = det3(F)
-    good = d > 0.0
-    dsafe = np.where(good, d, 1.0)
-    out = quart + params.gamma_d * params.h(dsafe)
+    with np.errstate(over="ignore"):  # d^(-q_w/2) overflows for 0 < d below about 1e-308^(2/q_w)
+        h = params.h(np.where(d > 0.0, d, 1.0))
+    good = (d > 0.0) & np.isfinite(h)
+    out = quart + params.gamma_d * np.where(good, h, 0.0)
     return np.where(good, out, np.inf)
 
 
 def dW_el(F, params):
-    """Derivative of W_el with respect to F. Requires det F > 0 everywhere."""
+    """Derivative of W_el with respect to F. Requires det F > 0 and a finite h'(det F) everywhere."""
     F = np.asarray(F, dtype=float)
     d = det3(F)
     if np.any(d <= 0.0):
         raise ValueError("dW_el: det F must be positive")
-    C = np.swapaxes(F, -1, -2) @ F - _EYE3
-    return params.mu * (F @ C) + (params.gamma_d * params.hp(d))[..., None, None] * cofactor3(F)
+    with np.errstate(over="ignore"):
+        hp = params.hp(d)
+    if not np.all(np.isfinite(hp)):
+        raise ValueError("dW_el: h'(det F) overflows; det F is too small")
+    C = _gram_strain(F)
+    out = F @ C
+    out *= params.mu
+    cof = cofactor3(F)
+    cof *= (params.gamma_d * hp)[..., None, None]
+    out += cof
+    return out
 
 
 def Q3_form(params):
@@ -282,14 +299,21 @@ def dH_hyper(G, eps, params):
 # electrostatics
 
 
+def _times_k(A, k):
+    """A @ k for a batch of 3x3 A and one constant 3x3 k, as one 2-D matmul on the flattened rows."""
+    return (A.reshape(-1, 3) @ k).reshape(A.shape)
+
+
 def kappa_pullback(F, k):
     """Pulled-back permittivity det(F) F^{-1} k F^{-T}. Requires det F > 0. Batched."""
     F = np.asarray(F, dtype=float)
-    d = det3(F)
+    Cof, d = cofactor_det3(F)
     if np.any(d <= 0.0):
         raise ValueError("kappa_pullback: det F must be positive")
-    Fi = inv3(F)
-    return d[..., None, None] * (Fi @ k @ np.swapaxes(Fi, -1, -2))
+    Fit = np.divide(Cof, d[..., None, None], out=Cof)
+    out = _times_k(np.ascontiguousarray(np.swapaxes(Fit, -1, -2)), np.asarray(k, dtype=float)) @ Fit
+    out *= d[..., None, None]
+    return out
 
 
 def maxwell_stress_moment(F, k, G2):
@@ -307,10 +331,13 @@ def maxwell_stress_moment(F, k, G2):
     F = np.asarray(F, dtype=float)
     G2 = np.asarray(G2, dtype=float)
     k = np.asarray(k, dtype=float)
-    Fi = inv3(F)
-    Fit = np.swapaxes(Fi, -1, -2)
-    T = Fit @ G2 @ Fi
-    Cof = cofactor3(F)
+    Cof, d = cofactor_det3(F)
+    if np.any(d == 0.0):
+        raise ValueError("maxwell_stress_moment: singular F")
+    Fit = Cof / d[..., None, None]
+    T = Fit @ G2 @ np.ascontiguousarray(np.swapaxes(Fit, -1, -2))
     tr = np.einsum("ij,...ji->...", k, T)
-    return T @ k @ Cof - 0.5 * tr[..., None, None] * Cof
-
+    out = _times_k(T, k) @ Cof
+    Cof *= (0.5 * tr)[..., None, None]
+    out -= Cof
+    return out

@@ -3,6 +3,11 @@
 Everything operates on plain float64 numpy arrays. The trailing one or two
 axes are the vector/matrix axes; leading axes are batch axes where noted.
 Vectorization of a 3x3 matrix is row-major, vec(H)[3*i + j] = H[i, j].
+
+Batched kernels keep numpy's stacked matmul on C-contiguous operands: on a
+transposed view or a broadcast operand it runs several times slower. So
+inv3 returns a C-ordered array, and cofactor_det3 gives the cofactor and
+the determinant from one pass for callers that need F^{-1} and det F.
 """
 
 import numpy as np
@@ -10,6 +15,7 @@ import numpy as np
 __all__ = [
     "det3",
     "cofactor3",
+    "cofactor_det3",
     "inv3",
     "nearest_rotation",
     "dist_SO3_sq",
@@ -55,13 +61,23 @@ def cofactor3(M):
     return C
 
 
-def inv3(M):
-    """Inverse of a 3x3 matrix via the adjugate (batched). Raises on a singular input."""
+def cofactor_det3(M):
+    """(Cof M, det M) of a 3x3 matrix from one cofactor pass (batched, finite entries).
+
+    The determinant is the first row of M against the first row of its
+    cofactor, M00 C00 + M01 C01 + M02 C02, which equals det3 bit for bit.
+    """
     M = _check_square(M, 3)
-    d = det3(M)
+    C = cofactor3(M)
+    return C, M[..., 0, 0] * C[..., 0, 0] + M[..., 0, 1] * C[..., 0, 1] + M[..., 0, 2] * C[..., 0, 2]
+
+
+def inv3(M):
+    """Inverse of a 3x3 matrix via the adjugate, C-ordered (batched). Raises on a singular input."""
+    C, d = cofactor_det3(M)
     if np.any(d == 0.0):
         raise ValueError("inv3: singular matrix")
-    return np.swapaxes(cofactor3(M), -1, -2) / d[..., None, None]
+    return np.divide(np.swapaxes(C, -1, -2), d[..., None, None], order="C")
 
 
 def sym_part(M):

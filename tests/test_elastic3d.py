@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from thinvolt import fields
+from thinvolt import elastic3d, fields
 from thinvolt.elastic3d import (
     F_eps,
     M_eps,
@@ -184,3 +186,35 @@ def test_apriori_report_flat_state():
     assert dist2 < 1e-14
     assert abs(min_det - 1.0) < 1e-12
     assert pw_norm > 0.0
+
+
+def test_prestrain_layer_product_is_the_broadcast_stacked_product():
+    # one GEMM per x3 layer equals the broadcast (1, 1, nc3, 3, 3) stacked matmul bit for bit
+    grid = Grid3(5, 6, 7)
+    eps = 0.3
+    mat = Material(prestrain=PrestrainModel(B0=0.5 * _B1, B1=_B1))
+    y = _gentle_bend(grid, eps, amp=0.08)
+    points = list(elastic3d._gauss_points(y, grid, eps, mat))
+    assert len(points) == 2
+    for _, z, arg, Minv, detM in points:
+        assert Minv.shape == (grid.cshape[2], 3, 3) and detM.shape == (grid.cshape[2],)
+        G = fields.scaled_gradient(y, grid, eps, point=(0.5, 0.5, z))
+        assert np.array_equal(arg, G @ np.broadcast_to(Minv, (1, 1) + Minv.shape))
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal(grid.cshape + (3, 3))
+    B = rng.standard_normal((grid.cshape[2], 3, 3))
+    want = A @ np.swapaxes(B, -1, -2)[None, None]
+    assert np.array_equal(elastic3d._layer_matmul(A.copy(), np.ascontiguousarray(np.swapaxes(B, -1, -2))), want)
+
+
+def test_squashed_but_oriented_deformation_has_infinite_energy_without_warning():
+    # det grad_eps y = 1e-25 > 0: the barrier h(det) overflows, so M_eps is +inf, not a RuntimeWarning
+    grid = Grid3(5, 5, 4)
+    eps = 0.5
+    y = flat_deformation(grid, eps)
+    y[..., 2] *= 1e-25
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert M_eps(y, grid, eps, Material()) == np.inf
+        with pytest.raises(ValueError):
+            grad_M_eps(y, grid, eps, Material())

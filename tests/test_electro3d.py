@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from thinvolt import fields
-from thinvolt.cg import SolverError, pcg
+from thinvolt.cg import SolverError, _project, pcg
 from thinvolt.electro3d import (
     E_eps,
     PoissonSystem,
@@ -366,6 +366,11 @@ def test_gradient_second_moments_consistency():
     quad = 0.5 * float(np.sum(system.coef * G2))
     eq = 0.5 * phi.ravel() @ system.matvec(phi.ravel())
     assert abs(quad - eq) < 1e-11 * max(abs(eq), 1.0)
+    # the per-cell product on a C-ordered copy of the transposed gradients is the one on the view, to the bit
+    V = np.concatenate([fields.shape_gradients(grid, eps, pt) for pt in fields.gauss_points(3)], axis=1)
+    gg = (fields.corner_gather(phi, grid).reshape(-1, 8) @ V).reshape(-1, 8, 3)
+    want = math.prod(grid.spacing) / 8 * (np.swapaxes(gg, 1, 2) @ gg)
+    assert np.array_equal(G2, want.reshape(G2.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +406,15 @@ def test_pcg_zero_load_and_failure_modes():
     with pytest.raises(SolverError) as err:
         pcg(lambda v: L @ v, b, lambda r: r / d, tol=1e-14, max_iter=1)
     assert len(err.value.residuals) >= 1
+
+
+def test_pcg_projection_is_the_mean_subtraction_to_the_bit():
+    rng = np.random.default_rng(17)
+    for n in (1, 7, 8, 9, 1000, 12345):
+        v = 1e3 + rng.standard_normal(n)
+        got = v.copy()
+        assert _project(got) is got
+        assert np.array_equal(got, v - v.mean())
 
 
 @pytest.mark.parametrize("dim", [2, 3], ids=["grid2", "grid3"])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from thinvolt.material import (
     maxwell_stress_moment,
     quadratic_expansion_check,
 )
-from thinvolt.smallmat import dist_SO3_sq, random_rotation, sym_part
+from thinvolt.smallmat import cofactor3, cofactor_det3, det3, dist_SO3_sq, inv3, random_rotation, sym_part
 
 
 def _random_invertible(rng, spread=0.3):
@@ -273,6 +275,137 @@ def test_maxwell_stress_moment_linearity():
     lhs = maxwell_stress_moment(F, k, 2.0 * G1 + 0.5 * G2)
     rhs = 2.0 * maxwell_stress_moment(F, k, G1) + 0.5 * maxwell_stress_moment(F, k, G2)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# batched kernels against an einsum reference and against the stacked products they replace
+
+_LEVI_CIVITA = np.zeros((3, 3, 3))
+for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+    _LEVI_CIVITA[_i, _j, _k], _LEVI_CIVITA[_j, _i, _k] = 1.0, -1.0
+_K_DYADIC = np.array([[2.0, 0.25, 0.0], [0.25, 1.5, 0.125], [0.0, 0.125, 3.0]])
+
+
+def _det_ref(F):
+    return np.einsum("ijk,...i,...j,...k->...", _LEVI_CIVITA, F[..., 0, :], F[..., 1, :], F[..., 2, :])
+
+
+def _cof_ref(F):
+    return 0.5 * np.einsum("ijk,abc,...jb,...kc->...ia", _LEVI_CIVITA, _LEVI_CIVITA, F, F)
+
+
+def _kernels_ref(F, k, G2, p):
+    """(W, dW, kappa, Maxwell stress, F^-1, det F), every product an einsum."""
+    d = _det_ref(F)
+    C = _cof_ref(F)
+    Fi = np.swapaxes(C, -1, -2) / d[..., None, None]
+    E = np.einsum("...ki,...kj->...ij", F, F) - np.eye(3)
+    W = 0.25 * p.mu * np.einsum("...ij,...ij->...", E, E) + p.gamma_d * p.h(d)
+    dW = p.mu * np.einsum("...ik,...kj->...ij", F, E) + (p.gamma_d * p.hp(d))[..., None, None] * C
+    K = d[..., None, None] * np.einsum("...ia,ab,...jb->...ij", Fi, k, Fi)
+    T = np.einsum("...ai,...ab,...bj->...ij", Fi, G2, Fi)
+    tr = np.einsum("ij,...ji->...", k, T)
+    S = np.einsum("...ia,ab,...bj->...ij", T, k, C) - 0.5 * tr[..., None, None] * C
+    return W, dW, K, S, Fi, d
+
+
+def _kernels_stacked(F, k, G2, p):
+    """The same quantities by the stacked products on transposed and broadcast operands that the kernels replace."""
+    d = det3(F)
+    Fi = np.swapaxes(cofactor3(F), -1, -2) / d[..., None, None]
+    Fit = np.swapaxes(Fi, -1, -2)
+    C = np.swapaxes(F, -1, -2) @ F - np.eye(3)
+    W = 0.25 * p.mu * np.sum(C * C, axis=(-2, -1)) + p.gamma_d * p.h(d)
+    dW = p.mu * (F @ C) + (p.gamma_d * p.hp(d))[..., None, None] * cofactor3(F)
+    K = d[..., None, None] * (Fi @ k @ Fit)
+    T = Fit @ G2 @ Fi
+    tr = np.einsum("ij,...ji->...", k, T)
+    S = T @ k @ cofactor3(F) - 0.5 * tr[..., None, None] * cofactor3(F)
+    return W, dW, K, S, Fi, d
+
+
+def _kernels(F, k, G2, p):
+    return W_el(F, p), dW_el(F, p), kappa_pullback(F, k), maxwell_stress_moment(F, k, G2), inv3(F), cofactor_det3(F)[1]
+
+
+def _exact_batch(rng, shape):
+    """Deformations whose kernels are exact in floating point: D L U with dyadic entries, det a power of two.
+
+    L and U are unit triangular with entries in {-1/2, 0, 1/2}, D is diagonal
+    with entries in {1/2, 1, 2}.
+    """
+    L = np.eye(3) + np.tril(0.5 * rng.integers(-1, 2, shape + (3, 3)), -1)
+    U = np.eye(3) + np.triu(0.5 * rng.integers(-1, 2, shape + (3, 3)), 1)
+    D = 2.0 ** rng.integers(-1, 2, shape + (3,))
+    return D[..., :, None] * (L @ U)
+
+
+def _generic_batch(rng, shape):
+    F = np.eye(3) + 0.4 * rng.standard_normal(shape + (3, 3))
+    F[..., 0, :] *= np.sign(det3(F))[..., None]
+    return F
+
+
+def _layouts(make, rng):
+    """(name, F) for a single matrix, two C-ordered batches, a transposed view and an every-other-cell slice."""
+    yield "single", make(rng, ())
+    yield "batch7", make(rng, (7,))
+    yield "batch2x3x4", make(rng, (2, 3, 4))
+    yield "swapaxes", np.swapaxes(make(rng, (7,)), -1, -2)
+    yield "strided", make(rng, (14,))[::2]
+
+
+def _moment(rng, F):
+    g = rng.integers(-2, 3, F.shape[:-1]).astype(float)
+    return g[..., :, None] * g[..., None, :]
+
+
+def test_kernels_equal_einsum_reference_on_exact_inputs():
+    # dyadic entries and power-of-two determinants keep every product exact, so
+    # summation order cannot matter; the kernels meet the reference to 1e-15
+    p = ElasticParams()
+    rng = np.random.default_rng(41)
+    for name, F in _layouts(_exact_batch, rng):
+        G2 = _moment(rng, F)
+        for got, want in zip(_kernels(F, _K_DYADIC, G2, p), _kernels_ref(F, _K_DYADIC, G2, p)):
+            assert np.shape(got) == np.shape(want), name
+            scale = np.maximum(np.abs(want), 1e-300)
+            assert np.all(np.abs(got - want) <= 1e-15 * scale), name
+
+
+def test_kernels_match_the_stacked_products_bit_for_bit():
+    # on a batch, contiguous copies, the 2-D matmul against k and det off the
+    # cofactor row keep the arithmetic order, so the previous stacked forms
+    # agree exactly; a single matrix's 2-D product with a transposed operand
+    # takes another BLAS kernel, so there they agree to 1e-15 relative
+    p = ElasticParams()
+    k = np.array([[2.0, 0.3, 0.0], [0.3, 1.5, 0.1], [0.0, 0.1, 3.0]])
+    rng = np.random.default_rng(43)
+    for name, F in _layouts(_generic_batch, rng):
+        F_before = F.copy()
+        g = rng.standard_normal(F.shape[:-1])
+        G2 = g[..., :, None] * g[..., None, :]
+        for got, want in zip(_kernels(F, k, G2, p), _kernels_stacked(F, k, G2, p)):
+            if name == "single":
+                assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+            else:
+                assert np.array_equal(got, want), name
+        assert np.array_equal(F, F_before), name
+
+
+def test_barrier_overflow_is_infinite_energy_without_warning():
+    # h(d) = d^(-q_w/2) - ... overflows for 0 < d below about 2e-24 at q_w = 26
+    p = ElasticParams()
+    squashed = np.diag([1.0, 1.0, 1e-25])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert W_el(squashed, p) == np.inf
+        vals = W_el(np.stack([squashed, np.eye(3), np.diag([1.0, 1.0, 1e-20])]), p)
+        assert vals[0] == np.inf and vals[1] == 0.0 and np.isfinite(vals[2])
+        assert W_el(squashed, ElasticParams(lam=0.0)) == np.inf
+        with pytest.raises(ValueError, match="overflows"):
+            dW_el(squashed, p)
+        assert np.all(np.isfinite(dW_el(np.diag([1.0, 1.0, 1e-20]), p)))
 
 
 # ---------------------------------------------------------------------------

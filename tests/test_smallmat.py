@@ -6,6 +6,7 @@ from thinvolt.smallmat import (
     QuadForm2,
     QuadForm3,
     cofactor3,
+    cofactor_det3,
     det3,
     dist_SO3_sq,
     inv3,
@@ -22,6 +23,21 @@ def test_det_and_inverse_against_numpy():
         assert abs(det3(M) - np.linalg.det(M)) <= 1e-12 * max(1.0, abs(np.linalg.det(M)))
         if abs(det3(M)) > 1e-6:
             assert np.allclose(inv3(M), np.linalg.inv(M), atol=1e-10)
+
+
+def test_cofactor_det3_is_det3_to_the_bit_and_inv3_is_c_ordered():
+    rng = np.random.default_rng(13)
+    for M in (rng.standard_normal((3, 3)), rng.standard_normal((50, 3, 3)), np.swapaxes(rng.standard_normal((4, 5, 3, 3)), -1, -2)):
+        C, d = cofactor_det3(M)
+        assert np.array_equal(C, cofactor3(M))
+        assert np.array_equal(d, det3(M))
+        inv = inv3(M)
+        assert inv.flags.c_contiguous
+        assert np.array_equal(inv, np.swapaxes(C, -1, -2) / d[..., None, None])
+    with pytest.raises(ValueError, match="singular"):
+        inv3(np.zeros((2, 3, 3)))
+    with pytest.raises(ValueError, match="non-finite"):
+        cofactor_det3(np.full((3, 3), np.nan))
 
 
 def test_cofactor_identity():
