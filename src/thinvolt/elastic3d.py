@@ -41,14 +41,21 @@ def flat_deformation(grid, eps):
 
 
 def _prestrain_cells(grid, eps, mat, z):
-    """(M^-1, det M) for M = I + eps B at the local x3 coordinate z of each x3 layer of cells: (nc3, 3, 3), (nc3,)."""
-    t = grid.c3 + (z - 0.5) * grid.h3
-    B = mat.prestrain.B(t)  # (nc3, 3, 3)
-    M = _EYE3 + eps * B
-    detM = det3(M)
-    if np.min(detM) <= 0.0:
-        raise ValueError("prestrain factor loses orientation at this eps")
-    return inv3(M), detM
+    """(M^-1, det M) for M = I + eps B at the local x3 coordinate z of each x3 layer of cells: (nc3, 3, 3), (nc3,).
+
+    Both are read-only and cached on the grid, keyed by eps, z and the prestrain's B0 and B1.
+    """
+    prestrain = mat.prestrain
+
+    def build():
+        t = grid.c3 + (z - 0.5) * grid.h3
+        M = _EYE3 + eps * prestrain.B(t)
+        detM = det3(M)
+        if np.min(detM) <= 0.0:
+            raise ValueError("prestrain factor loses orientation at this eps")
+        return fields._read_only(inv3(M)), fields._read_only(detM)
+
+    return grid._cached(("prestrain", eps, z, prestrain.B0.tobytes(), prestrain.B1.tobytes()), build)
 
 
 def _layer_matmul(A, B):

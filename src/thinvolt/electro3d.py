@@ -13,6 +13,7 @@ dimension-generic; the 2D midsurface potential of bending2d is built from
 them too.
 """
 
+import functools
 import itertools
 import math
 
@@ -36,23 +37,34 @@ def _oriented_gradient(y, grid, eps):
     return F
 
 
-def _stencil(Kloc, grid):
+def _stencil(coef, grid, eps):
     """Nodal stencil of the assembled operator, keyed by neighbour offset.
 
     Maps each offset o in {-1, 0, 1}^dim that is non-negative in
     lexicographic order to the nodal array S_o with K[n, n + o] = S_o[n];
     S_o is zero where n + o falls off the grid. K is symmetric, so the
     offset -o needs no array of its own: K[n + o, n] = S_o[n].
+
+    The cell-stiffness entries K_ab (corner a, corner b) that the stencil
+    needs come straight from the coefficient, one GEMM against their columns
+    of the cached stiffness table, as rows in corner-loop order: each row is
+    a contiguous cell array added into its offset. The entries and their
+    sums match the ones read out of fields.local_stiffness to the bit.
     """
     dim = len(grid.shape)
     corners = list(itertools.product((0, 1), repeat=dim))
-    stencil = {}
+    pairs = []
     for a, ca in enumerate(corners):
-        cells = tuple(slice(p, n - 1 + p) for p, n in zip(ca, grid.shape))
         for b, cb in enumerate(corners):
             o = tuple(q - p for p, q in zip(ca, cb))
             if o >= (0,) * dim:
-                stencil.setdefault(o, np.zeros(grid.shape))[cells] += Kloc[..., a, b]
+                pairs.append((ca, o, a * len(corners) + b))
+    T = fields.stiffness_table(grid, eps)
+    rows = T[:, [col for _, _, col in pairs]].T @ np.reshape(coef, (-1, dim * dim)).T
+    stencil = {}
+    for (ca, o, _), row in zip(pairs, rows):
+        cells = tuple(slice(p, n - 1 + p) for p, n in zip(ca, grid.shape))
+        stencil.setdefault(o, np.zeros(grid.shape))[cells] += row.reshape(grid.cshape)
     return dict(sorted(stencil.items()))
 
 
@@ -73,8 +85,7 @@ class PoissonSystem:
         self.grid = grid
         self.eps = eps
         self.coef = coef
-        self.Kloc = fields.local_stiffness(coef, grid, eps)
-        self.stencil = _stencil(self.Kloc, grid)
+        self.stencil = _stencil(coef, grid, eps)
         self.diag = self.stencil[(0,) * len(grid.shape)]
         if np.any(self.diag <= 0.0):
             raise ValueError("PoissonSystem: operator diagonal must be positive")
@@ -89,6 +100,11 @@ class PoissonSystem:
         self.b_raw = load
         self.weights = fields.node_weights(grid)
         self.b = load - load.sum() * self.weights
+
+    @functools.cached_property
+    def Kloc(self):
+        """Per-cell local stiffness, (*cshape, 2^dim, 2^dim), built on first access; the operator never reads it."""
+        return fields.local_stiffness(self.coef, self.grid, self.eps)
 
     def apply(self, phi):
         """Operator application on a nodal array (not flattened)."""
@@ -137,13 +153,14 @@ class PoissonSystem3(PoissonSystem):
         # K[(i, j, l), (i, j, l + 1)]: Q1 nodes couple along x3 only to
         # l +- 1, so with diag this fixes the tridiagonal x3 column blocks
         self.line_offdiag = self.stencil[(0, 0, 1)][:, :, :-1]
-        self._line_factors = self._factor_lines()
 
-    def _factor_lines(self):
-        """Thomas factors of the x3 column blocks, line index first.
+    @functools.cached_property
+    def _line_factors(self):
+        """Thomas factors of the x3 column blocks, line index first, built on the first precondition.
 
         Each block is a principal submatrix of K, hence positive definite,
-        so the elimination needs no pivoting.
+        so the elimination needs no pivoting. A system that is only
+        evaluated, never solved, never factors its lines.
         """
         n3 = self.grid.n3
         lower = np.ascontiguousarray(self.line_offdiag.reshape(-1, n3 - 1).T)
@@ -187,10 +204,16 @@ def assemble_poisson3(y, grid, eps, mat):
     Rejects deformations with a nonpositive cell determinant, reporting the
     offending cell. beta sits on the stiffness side and gamma on the load.
     """
-    # the gradient is dropped before the system builds its cell stiffness, the run's largest array
+    # the gradient is dropped before the system's stencil rows, its largest temporary, are built
     coef = kappa_pullback(_oriented_gradient(y, grid, eps), mat.permittivity.k)
     coef *= mat.coupling.beta
-    load = charge_load(mat.charge.n_ch(grid.c1)[:, None, None], grid, mat.coupling.gamma)
+    charge, gamma = mat.charge, mat.coupling.gamma
+
+    def build_load():
+        return fields._read_only(charge_load(charge.n_ch(grid.c1)[:, None, None], grid, gamma))
+
+    # the load depends on the grid and the charge alone: built once per grid, charge model and gamma
+    load = grid._cached(("charge_load", charge, gamma), build_load)
     return PoissonSystem3(grid, coef, load, eps)
 
 

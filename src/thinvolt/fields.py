@@ -36,6 +36,7 @@ __all__ = [
     "corner_scatter",
     "shape_gradients",
     "gauss_points",
+    "stiffness_table",
     "local_stiffness",
     "gradient_second_moments",
     "node_weights",
@@ -218,26 +219,33 @@ def gauss_points(dim):
     return list(itertools.product((_GAUSS_LO, _GAUSS_HI), repeat=dim))
 
 
-def _stiffness_table(grid, eps):
-    dim = len(grid.shape)
-    w = math.prod(grid.spacing) / 2**dim
-    T = np.zeros((dim, dim, 2**dim, 2**dim))
-    for pt in gauss_points(dim):
-        V = shape_gradients(grid, eps, pt)
-        T += w * np.einsum("ai,bj->ijab", V, V)
-    return _read_only(T.reshape(dim * dim, 4**dim))
+def stiffness_table(grid, eps=1.0):
+    """The Gauss rule of the Q1 cell stiffness, cached read-only per grid and eps.
+
+    A (dim^2, 4^dim) table T[(i, j), (a, b)] = sum_g w V_g[a, i] V_g[b, j],
+    so coef[(i, j)] @ T is a cell's stiffness in row-major (a, b) order.
+    """
+
+    def build():
+        dim = len(grid.shape)
+        w = math.prod(grid.spacing) / 2**dim
+        T = np.zeros((dim, dim, 2**dim, 2**dim))
+        for pt in gauss_points(dim):
+            V = shape_gradients(grid, eps, pt)
+            T += w * np.einsum("ai,bj->ijab", V, V)
+        return _read_only(T.reshape(dim * dim, 4**dim))
+
+    return grid._cached(("stiffness_table", eps), build)
 
 
 def local_stiffness(coef, grid, eps=1.0):
     """Per-cell Q1 stiffness for a cellwise-constant coefficient (tensor Gauss rule).
 
-    The Gauss rule is summed once per grid and eps into a read-only
-    (dim^2, 4^dim) table T[(i, j), (a, b)] = sum_g w V_g[a, i] V_g[b, j]; the
-    coefficient is contracted against it in one matmul.
+    The coefficient is contracted against the cached stiffness_table in one
+    matmul.
     """
     dim = len(grid.shape)
-    T = grid._cached(("stiffness_table", eps), lambda: _stiffness_table(grid, eps))
-    K = np.reshape(coef, (-1, dim * dim)) @ T
+    K = np.reshape(coef, (-1, dim * dim)) @ stiffness_table(grid, eps)
     return K.reshape(grid.cshape + (2**dim, 2**dim))
 
 

@@ -277,19 +277,27 @@ def quadratic_expansion_check(params, n_samples=200, scales=(1e-2, 1e-3, 1e-4), 
 # hyperstress
 
 
+def _hessian_norm(G):
+    """|G| per cell of a third-order tensor field, summing the 27 squares without forming G * G.
+
+    On scaled_hessian's (i, j, k, cell) layout this equals
+    sqrt(sum(G * G, axis=(-3, -2, -1))) to the bit.
+    """
+    return np.sqrt(np.einsum("...ijk,...ijk->...", G, G))
+
+
 def H_hyper(G, eps, params):
     """Hyperstress density eps^alpha_h * (c_h/q_h) |G|^q_h for a third-order tensor field."""
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    G = np.asarray(G, dtype=float)
-    nrm = np.sqrt(np.sum(G * G, axis=(-3, -2, -1)))
+    nrm = _hessian_norm(np.asarray(G, dtype=float))
     return eps**params.alpha_h * (params.c_h / params.q_h) * nrm**params.q_h
 
 
 def dH_hyper(G, eps, params):
     """Derivative of H_hyper with respect to G (zero-safe at G = 0 for q_h > 2)."""
     G = np.asarray(G, dtype=float)
-    nrm = np.sqrt(np.sum(G * G, axis=(-3, -2, -1)))
+    nrm = _hessian_norm(G)
     w = eps**params.alpha_h * params.c_h * np.where(nrm > 0.0, nrm, 1.0) ** (params.q_h - 2.0)
     w = np.where(nrm > 0.0, w, 0.0)
     return w[..., None, None, None] * G

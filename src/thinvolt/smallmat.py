@@ -45,19 +45,25 @@ def det3(M):
     )
 
 
+def _cofactor_entries(M, C):
+    """Write Cof(M) into C, both indexed entry first: M[i, j] is entry (i, j) of every matrix of the batch."""
+    C[0, 0] = M[1, 1] * M[2, 2] - M[1, 2] * M[2, 1]
+    C[0, 1] = M[1, 2] * M[2, 0] - M[1, 0] * M[2, 2]
+    C[0, 2] = M[1, 0] * M[2, 1] - M[1, 1] * M[2, 0]
+    C[1, 0] = M[0, 2] * M[2, 1] - M[0, 1] * M[2, 2]
+    C[1, 1] = M[0, 0] * M[2, 2] - M[0, 2] * M[2, 0]
+    C[1, 2] = M[0, 1] * M[2, 0] - M[0, 0] * M[2, 1]
+    C[2, 0] = M[0, 1] * M[1, 2] - M[0, 2] * M[1, 1]
+    C[2, 1] = M[0, 2] * M[1, 0] - M[0, 0] * M[1, 2]
+    C[2, 2] = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+    return C
+
+
 def cofactor3(M):
     """Cofactor matrix of a 3x3 matrix, Cof(M)[i,j] = d det / d M[i,j] (batched)."""
     M = np.asarray(M, dtype=float)
     C = np.empty_like(M)
-    C[..., 0, 0] = M[..., 1, 1] * M[..., 2, 2] - M[..., 1, 2] * M[..., 2, 1]
-    C[..., 0, 1] = M[..., 1, 2] * M[..., 2, 0] - M[..., 1, 0] * M[..., 2, 2]
-    C[..., 0, 2] = M[..., 1, 0] * M[..., 2, 1] - M[..., 1, 1] * M[..., 2, 0]
-    C[..., 1, 0] = M[..., 0, 2] * M[..., 2, 1] - M[..., 0, 1] * M[..., 2, 2]
-    C[..., 1, 1] = M[..., 0, 0] * M[..., 2, 2] - M[..., 0, 2] * M[..., 2, 0]
-    C[..., 1, 2] = M[..., 0, 1] * M[..., 2, 0] - M[..., 0, 0] * M[..., 2, 1]
-    C[..., 2, 0] = M[..., 0, 1] * M[..., 1, 2] - M[..., 0, 2] * M[..., 1, 1]
-    C[..., 2, 1] = M[..., 0, 2] * M[..., 1, 0] - M[..., 0, 0] * M[..., 1, 2]
-    C[..., 2, 2] = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+    _cofactor_entries(np.moveaxis(M, (-2, -1), (0, 1)), np.moveaxis(C, (-2, -1), (0, 1)))
     return C
 
 
@@ -101,17 +107,34 @@ def nearest_rotation(F):
     d = det3(F)
     if np.any(d <= 0.0):
         raise ValueError("nearest_rotation: det F must be positive")
-    X = F.reshape(-1, 3, 3).copy()
-    active = np.arange(len(X))
+    X = _polar_entry_first(np.ascontiguousarray(F.reshape(-1, 9).T).reshape(3, 3, -1))
+    return np.ascontiguousarray(X.reshape(9, -1).T).reshape(F.shape)
+
+
+def _polar_entry_first(X):
+    """nearest_rotation's Newton loop on an entry-first (3, 3, N) C-ordered batch, X[i, j] a row of N.
+
+    Each step is cofactor3's arithmetic on contiguous rows, with the
+    determinant read off the first cofactor row (det3 bit for bit).
+    Matrices that stop are written to the result and leave the working batch.
+    """
+    out = np.empty_like(X)
+    idx = np.arange(X.shape[-1])
     for _ in range(50):
-        Xa = X[active]
-        Xn = 0.5 * (Xa + cofactor3(Xa) / det3(Xa)[:, None, None])
-        X[active] = Xn
-        delta = np.max(np.abs(Xn - Xa), axis=(1, 2))
-        active = active[delta > 1e-13 * np.maximum(1.0, np.max(np.abs(Xn), axis=(1, 2)))]
-        if not len(active):
+        C = _cofactor_entries(X, np.empty_like(X))
+        C /= X[0, 0] * C[0, 0] + X[0, 1] * C[0, 1] + X[0, 2] * C[0, 2]
+        C += X
+        C *= 0.5
+        delta = np.max(np.abs(C - X).reshape(9, -1), axis=0)
+        moving = delta > 1e-13 * np.maximum(1.0, np.max(np.abs(C).reshape(9, -1), axis=0))
+        X = C
+        if not np.all(moving):
+            out[..., idx[~moving]] = X[..., ~moving]
+            X, idx = X[..., moving], idx[moving]
+        if not len(idx):
             break
-    return X.reshape(F.shape)
+    out[..., idx] = X
+    return out
 
 
 def dist_SO3_sq(F):

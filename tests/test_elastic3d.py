@@ -80,6 +80,26 @@ def test_constant_prestrain_taylor_limit():
     assert abs(got - want) < 0.01 * want
 
 
+def test_cached_prestrain_factors_are_keyed_by_b0_and_b1():
+    # one grid shared by materials that differ only in B1 or in B0: each gets
+    # its own M_eps, equal to the value on a fresh grid
+    grid = Grid3(5, 5, 4)
+    eps = 0.25
+    y = _gentle_bend(grid, eps)
+    mats = [
+        Material(prestrain=PrestrainModel(B1=_B1)),
+        Material(prestrain=PrestrainModel(B1=0.5 * _B1)),
+        Material(prestrain=PrestrainModel(B0=np.diag([0.1, 0.0, 0.0]), B1=_B1)),
+        Material(),
+    ]
+    values = [M_eps(y, grid, eps, mat) for mat in mats]
+    for i, mat in enumerate(mats):
+        fresh = Grid3(*grid.shape)
+        assert M_eps(y, fresh, eps, mat) == values[i]
+        for j in range(i):
+            assert values[i] != values[j]
+
+
 def test_elastic_thickness_quadrature_against_refined_rule():
     # independent 4-point Gauss rule per cell in the thickness direction
     grid = Grid3(6, 5, 5)

@@ -200,6 +200,76 @@ def test_stencil_apply_matches_cell_einsum_for_varying_coefficient(grid):
         assert np.max(np.abs(system.apply(phi) - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+def _stencil_from_cell_stiffness(Kloc, grid):
+    # reference assembly: each entry K_ab of the per-cell stiffness, read out
+    # of the (a, b) block, added into the offset from corner a to corner b, in
+    # corner-loop order
+    dim = len(grid.shape)
+    corners = list(itertools.product((0, 1), repeat=dim))
+    stencil = {}
+    for a, ca in enumerate(corners):
+        cells = tuple(slice(p, n - 1 + p) for p, n in zip(ca, grid.shape))
+        for b, cb in enumerate(corners):
+            o = tuple(q - p for p, q in zip(ca, cb))
+            if o >= (0,) * dim:
+                stencil.setdefault(o, np.zeros(grid.shape))[cells] += Kloc[..., a, b]
+    return dict(sorted(stencil.items()))
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.3, 1.0 / 32])
+@pytest.mark.parametrize("grid", [Grid2(7, 5), Grid2(3, 3), Grid3(5, 4, 6), Grid3(9, 8, 5)], ids=["grid2", "grid2-coarsest", "grid3", "grid3-wide"])
+def test_stencil_from_the_coefficient_is_the_cell_stiffness_scatter_to_the_bit(grid, eps):
+    # an anisotropic coefficient that differs from cell to cell
+    dim = len(grid.shape)
+    rng = np.random.default_rng(43)
+    B = rng.standard_normal(grid.cshape + (dim, dim))
+    coef = B @ np.swapaxes(B, -1, -2) + np.diag(np.arange(1.0, dim + 1.0))
+    system = PoissonSystem(grid, coef, np.zeros(grid.shape), eps=eps)
+    want = _stencil_from_cell_stiffness(fields.local_stiffness(coef, grid, eps), grid)
+    assert list(system.stencil) == list(want)
+    for o, S in want.items():
+        assert np.array_equal(system.stencil[o], S), o
+
+
+def test_cell_stiffness_and_line_factors_are_built_on_demand():
+    grid = Grid3(6, 5, 4)
+    eps = 0.25
+    rng = np.random.default_rng(44)
+    y = _affine_y(grid, eps, np.eye(3) + 0.1 * rng.standard_normal((3, 3)))
+    mat = _material(k=np.array([[2.0, 0.3, 0.1], [0.3, 1.5, 0.2], [0.1, 0.2, 3.0]]))
+    system = assemble_poisson3(y, grid, eps, mat)
+    # an energy-only system never factors its x3 lines
+    E = electrostatic_energy(*system.energy_parts(rng.standard_normal(grid.shape)))
+    assert np.isfinite(E)
+    assert "_line_factors" not in vars(system)
+    system.solve(tol=1e-10)
+    assert "_line_factors" in vars(system)
+    # a solved system has no cell stiffness until it is asked for
+    assert "Kloc" not in vars(system)
+    assert np.array_equal(system.Kloc, fields.local_stiffness(system.coef, grid, eps))
+    assert "Kloc" in vars(system)
+
+
+def test_cached_charge_load_is_keyed_by_the_charge_model_and_gamma():
+    # one grid shared by materials that differ only in the charge amplitude
+    # or in gamma: each gets its own load, equal to the load on a fresh grid
+    grid = Grid3(6, 5, 4)
+    eps = 0.4
+    mats = [
+        _material(gamma=1.7, charge=ChargeModel(mode="cosine", amplitude=0.8)),
+        _material(gamma=1.7, charge=ChargeModel(mode="cosine", amplitude=1.1)),
+        _material(gamma=0.9, charge=ChargeModel(mode="cosine", amplitude=0.8)),
+        _material(gamma=1.7, charge=ChargeModel(mode="constant", amplitude=0.8)),
+    ]
+    loads = [assemble_poisson3(_flat_y(grid, eps), grid, eps, mat).b_raw for mat in mats]
+    for i, mat in enumerate(mats):
+        fresh = Grid3(*grid.shape)
+        assert np.array_equal(loads[i], assemble_poisson3(_flat_y(fresh, eps), fresh, eps, mat).b_raw)
+        for j in range(i):
+            assert not np.array_equal(loads[i], loads[j])
+    assert not loads[0].flags.writeable
+
+
 def test_charge_load_compatibility_shift():
     grid = Grid3(6, 5, 4)
     eps, gamma = 0.4, 1.7

@@ -3,6 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
+from thinvolt import fields
+from thinvolt.fields import Grid3
 from thinvolt.material import (
     ChargeModel,
     CouplingConstants,
@@ -200,6 +202,20 @@ def test_dh_hyper_matches_finite_differences():
         scale = max(np.max(np.abs(D)), 1e-12)
         assert np.max(np.abs(D - fd)) < 1e-6 * scale
     assert np.all(dH_hyper(np.zeros((3, 3, 3)), eps, p) == 0.0)
+
+
+def test_hessian_norms_equal_the_summed_square_on_the_scaled_hessian_layout():
+    # H_hyper and dH_hyper sum the 27 squares without forming G * G; on
+    # scaled_hessian's (i, j, k, cell) layout they equal the sum(G * G) form
+    # to the bit
+    p = HyperParams(c_h=1.3)
+    rng = np.random.default_rng(21)
+    for shape, eps in (((5, 4, 6), 1.0), ((9, 8, 5), 0.25), ((17, 17, 9), 1.0 / 32)):
+        G = fields.scaled_hessian(rng.standard_normal(shape + (3,)), Grid3(*shape), eps)
+        nrm = np.sqrt(np.sum(G * G, axis=(-3, -2, -1)))
+        assert np.array_equal(H_hyper(G, eps, p), eps**p.alpha_h * (p.c_h / p.q_h) * nrm**p.q_h)
+        w = eps**p.alpha_h * p.c_h * nrm ** (p.q_h - 2.0)
+        assert np.array_equal(dH_hyper(G, eps, p), w[..., None, None, None] * G)
 
 
 # ---------------------------------------------------------------------------

@@ -372,7 +372,7 @@ def test_recovery_sweep_flags_orientation_loss():
 
 
 def test_recovery_sweep_releases_each_rows_system(monkeypatch):
-    # a row's system (Kloc, stencil, line factors) is dropped once the row's
+    # a row's system (stencil, line factors) is dropped once the row's
     # energy is taken, also when its solve fails, so no earlier row's system
     # is alive while the next row assembles; the cyclic collector is off, so
     # only reference counting can free it

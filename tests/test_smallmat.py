@@ -97,6 +97,60 @@ def test_nearest_rotation_batched():
     assert np.max(np.abs(np.swapaxes(R, -1, -2) @ R - np.eye(3))) <= 1e-12
 
 
+def _polar_matrix_first(F):
+    # the Newton polar loop on an (N, 3, 3) batch, gathering the matrices
+    # still moving and scattering their step back, with nearest_rotation's
+    # per-matrix stop rule; returns the result and the number of steps taken
+    X = F.reshape(-1, 3, 3).copy()
+    active = np.arange(len(X))
+    for step in range(1, 51):
+        Xa = X[active]
+        Xn = 0.5 * (Xa + cofactor3(Xa) / det3(Xa)[:, None, None])
+        X[active] = Xn
+        delta = np.max(np.abs(Xn - Xa), axis=(1, 2))
+        active = active[delta > 1e-13 * np.maximum(1.0, np.max(np.abs(Xn), axis=(1, 2)))]
+        if not len(active):
+            break
+    return X.reshape(F.shape), step
+
+
+def _positive_det(F):
+    F = F.copy()
+    F[det3(F) < 0.0, :, 2] *= -1.0
+    return F
+
+
+def _polar_batches(rng, n):
+    U, V = (np.linalg.qr(rng.standard_normal((n, 3, 3)))[0] for _ in range(2))
+    sigma = np.exp(rng.uniform(-8.0, 8.0, (n, 3)))
+    return {
+        "random": _positive_det(rng.standard_normal((n, 3, 3))),
+        "near-rotation": _positive_det(U) + 1e-9 * rng.standard_normal((n, 3, 3)),
+        "ill-conditioned": _positive_det(U * sigma[:, None, :] @ V),
+    }
+
+
+def test_polar_loop_on_entry_first_rows_equals_the_matrix_first_loop_to_the_bit():
+    rng = np.random.default_rng(13)
+    for n in (1, 2, 9, 400):
+        for name, F in _polar_batches(rng, n).items():
+            want, _ = _polar_matrix_first(F)
+            assert np.array_equal(nearest_rotation(F), want), (name, n)
+            assert np.array_equal(nearest_rotation(F.reshape(-1, 1, 3, 3)), want.reshape(-1, 1, 3, 3))
+    # singular values 1e100 and 1e-100 shrink by about half a step: that
+    # matrix stops at the 50-step cap while the rest of its batch converges
+    F = _positive_det(rng.standard_normal((5, 3, 3)))
+    F[2] = np.diag([1e100, 1.0, 1e-100])[[2, 0, 1]]
+    want, steps = _polar_matrix_first(F)
+    assert steps == 50 and _polar_matrix_first(np.delete(F, 2, axis=0))[1] < 50
+    R = nearest_rotation(F)
+    assert np.array_equal(R, want) and R.flags.c_contiguous
+    # the input is left as it was, also when it is a single matrix
+    F1 = F[0].copy()
+    nearest_rotation(F1)
+    assert np.array_equal(F1, F[0])
+
+
 def test_dist_SO3_sq_does_not_depend_on_the_batch():
     # each matrix stops its own Newton iteration: a mixed batch (det of both
     # signs) gives every entry its scalar value bit for bit
@@ -121,9 +175,8 @@ def test_dist_SO3_sq_oracle():
 
 def test_dist_SO3_sq_batch_mixes_both_branches():
     # a (4, 5) batch with det > 0 and det <= 0 entries: each branch's entries
-    # equal that branch's own batched call bit for bit, and each entry agrees
-    # with its scalar call to rounding (the polar Newton loop stops on the
-    # whole batch, so a batch may take one more step than a single matrix)
+    # equal that branch's own batched call, and each entry its scalar call,
+    # bit for bit (the polar Newton loop stops each matrix on its own)
     F = np.random.default_rng(10).standard_normal((4, 5, 3, 3))
     pos = det3(F) > 0.0
     assert 0 < np.count_nonzero(pos) < pos.size
@@ -134,9 +187,7 @@ def test_dist_SO3_sq_batch_mixes_both_branches():
     for idx in np.ndindex(4, 5):
         single = dist_SO3_sq(F[idx])
         assert type(single) is float
-        if not pos[idx]:
-            assert d[idx] == single
-        assert abs(d[idx] - single) <= 1e-15 * single
+        assert d[idx] == single
 
 
 def test_dist_SO3_sq_zero_on_rotations():
