@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import os
+import random
 import sys
 
 import numpy as np
@@ -34,6 +35,7 @@ __all__ = [
     "ConfigError",
     "RunConfig",
     "check_conditions",
+    "NormalSampler",
     "saddle_probe",
     "solve3d_alternating",
     "cli_main",
@@ -215,8 +217,9 @@ def check_conditions(rows, targets=None):
     rows are sweep rows ordered by decreasing eps; targets is (M0, E0, F0)
     and defaults to the targets stored in the rows. Each condition reports
     its margin sequence, the final value, a monotonicity flag, and a pass
-    flag: the final margin must be small against the target scale
-    (2% of 1 + |target|) or at most half of the previous one.
+    flag: the final margin must be within the tolerance, 2% of 1 + |target|.
+    A margin that merely shrinks does not pass: a sweep far from the limit
+    halves its margins too.
     """
     ok = [r for r in rows if r.ok]
     if len(ok) < 3:
@@ -230,7 +233,7 @@ def check_conditions(rows, targets=None):
     def record(name, values, target):
         vals = [float(v) for v in values]
         tol = 0.02 * (1.0 + abs(target))
-        passed = vals[-1] <= tol or vals[-1] <= 0.5 * vals[-2]
+        passed = vals[-1] <= tol
         trend = all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
         report[name] = {
             "values": vals,
@@ -247,6 +250,32 @@ def check_conditions(rows, targets=None):
     record("elec_lower", [max(0.0, e0 - r.E_eps) for r in ok], e0)
     report["pass"] = bool(all(report[k]["pass"] for k in ("mech_lower", "mech_recovery", "total_recovery", "elec_lower")))
     return report
+
+
+class NormalSampler:
+    """Standard normal draws from the stdlib generator random.Random(seed).
+
+    Each draw takes its 32-bit uniforms from one randbytes call, read as
+    little-endian words so the values do not depend on the host, and pairs
+    them by the Box-Muller transform (Box & Muller, Ann. Math. Statist. 29,
+    1958). It offers the standard_normal(shape) call of numpy's Generator,
+    the one call saddle_probe makes, without loading numpy.random and the
+    modules it imports (secrets, hashlib and libcrypto), which would cost a
+    run several MB of resident memory for a few probe directions.
+    """
+
+    def __init__(self, seed=0):
+        self._random = random.Random(seed)
+
+    def standard_normal(self, shape):
+        n = int(np.prod(shape))
+        m = (n + 1) // 2
+        words = np.frombuffer(self._random.randbytes(8 * m), dtype="<u4").reshape(2, m)
+        # uniforms in (0, 1) at odd multiples of 2^-33: the logarithm stays finite
+        radius = np.sqrt(-2.0 * np.log((words[0] + 0.5) * 2.0**-32))
+        angle = (2.0 * np.pi * 2.0**-32) * words[1]
+        z = np.concatenate((radius * np.cos(angle), radius * np.sin(angle)))
+        return z[:n].reshape(shape)
 
 
 def _zero_mean_direction(shape, rng):
@@ -271,7 +300,7 @@ def saddle_probe(F, point, n_probes=50, radius=1e-3, rng=None, sides=("phi", "y"
     y = np.asarray(y, dtype=float)
     phi = np.asarray(phi, dtype=float)
     if rng is None:
-        rng = np.random.default_rng(0)
+        rng = NormalSampler(0)
     base = float(F(y, phi))
     if not np.isfinite(base):
         raise ValueError("saddle_probe: F must be finite at the probe point")
@@ -308,7 +337,7 @@ def solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-10, grad_tol=1e-7
     potential.
     """
     if rng is None:
-        rng = np.random.default_rng(0)
+        rng = NormalSampler(0)
 
     def evaluate(c):
         # the one evaluation of a point: the start, or a trial whose accepted state is the next iterate's
@@ -448,7 +477,7 @@ def _cmd_solve3d(cfg, out_dir):
     rq = RelaxedQ2.of(mat)
     d = optimal_corrector(inputs, grid3, rq)
     y_init = lift_deformation(inputs.isometry, eps, grid3, inputs.g_matrix, d)
-    rng = np.random.default_rng(cfg.seed)
+    rng = NormalSampler(cfg.seed)
     try:
         y, phi, history, converged = solve3d_alternating(
             grid3,
@@ -499,7 +528,7 @@ def _cmd_solve2d(cfg, out_dir):
         return _report_failure(out_dir, exc, mode="solve2d", seed=cfg.seed)
     header = ["F_after_phi", "F_after_theta", "grad_norm", "step"]
     _write_csv(os.path.join(out_dir, "solve2d_history.csv"), header, history)
-    rng = np.random.default_rng(cfg.seed)
+    rng = NormalSampler(cfg.seed)
 
     def F(theta, p):
         return bending2d.F0(CylindricalIsometry(grid2, theta), p, mat, rq)

@@ -209,6 +209,18 @@ class Material:
 # elastic density
 
 
+def _as_batch(F):
+    """F as a float array with at least one batch axis: a single 3x3 becomes a batch of one.
+
+    numpy's 2-D matmul of a lone matrix can reach another BLAS kernel than
+    the stacked loop of a batch, and differ from the same matrix's batch
+    entry in the last bit; as a batch of one it takes the stacked loop, so a
+    pointwise call equals its batch entry bit for bit.
+    """
+    F = np.asarray(F, dtype=float)
+    return F[None] if F.ndim == 2 else F
+
+
 def _gram_strain(F):
     """F^T F - I, with F^T as a C-ordered operand: the stacked matmul on the transposed view runs several times slower."""
     C = np.ascontiguousarray(np.swapaxes(F, -1, -2)) @ F
@@ -218,7 +230,8 @@ def _gram_strain(F):
 
 def W_el(F, params):
     """Elastic energy density; +inf where det F <= 0 or the barrier h(det F) overflows. Batched."""
-    F = np.asarray(F, dtype=float)
+    shape = np.shape(F)[:-2]
+    F = _as_batch(F)
     C = _gram_strain(F)
     quart = 0.25 * params.mu * np.sum(np.multiply(C, C, out=C), axis=(-2, -1))
     d = det3(F)
@@ -226,12 +239,13 @@ def W_el(F, params):
         h = params.h(np.where(d > 0.0, d, 1.0))
     good = (d > 0.0) & np.isfinite(h)
     out = quart + params.gamma_d * np.where(good, h, 0.0)
-    return np.where(good, out, np.inf)
+    return np.where(good, out, np.inf).reshape(shape)
 
 
 def dW_el(F, params):
     """Derivative of W_el with respect to F. Requires det F > 0 and a finite h'(det F) everywhere."""
-    F = np.asarray(F, dtype=float)
+    shape = np.shape(F)
+    F = _as_batch(F)
     d = det3(F)
     if np.any(d <= 0.0):
         raise ValueError("dW_el: det F must be positive")
@@ -245,7 +259,7 @@ def dW_el(F, params):
     cof = cofactor3(F)
     cof *= (params.gamma_d * hp)[..., None, None]
     out += cof
-    return out
+    return out.reshape(shape)
 
 
 def Q3_form(params):

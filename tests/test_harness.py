@@ -1,6 +1,10 @@
 import dataclasses
 import json
+import math
 import os
+import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ import pytest
 from thinvolt.fields import Grid3
 from thinvolt.harness import (
     ConfigError,
+    NormalSampler,
     RunConfig,
     check_conditions,
     cli_main,
@@ -210,6 +215,34 @@ def test_saddle_probe_quadratic_model():
         saddle_probe(lambda y, p: np.inf, (a, b), n_probes=1)
 
 
+def test_normal_sampler_is_seeded_and_standard():
+    a, b = NormalSampler(3).standard_normal((17, 5)), NormalSampler(3).standard_normal((17, 5))
+    assert a.shape == (17, 5) and a.tobytes() == b.tobytes()
+    assert not np.array_equal(a, NormalSampler(4).standard_normal((17, 5)))
+    # successive draws continue one stream
+    sampler = NormalSampler(3)
+    assert not np.array_equal(sampler.standard_normal(7), sampler.standard_normal(7))
+    assert np.shape(NormalSampler(0).standard_normal(())) == ()
+    n = 200_000
+    z = NormalSampler(5).standard_normal(n)
+    assert abs(z.mean()) <= 5.0 / math.sqrt(n)
+    assert abs(z.var() - 1.0) <= 5.0 * math.sqrt(2.0 / n)
+
+
+def test_normal_sampler_is_box_muller_on_the_stdlib_stream():
+    # pairs (u1, u2) from the seeded Mersenne Twister's 32-bit words, the first
+    # half of the words for u1 and the second for u2, on any host byte order
+    n = 9
+    m = (n + 1) // 2
+    stream = random.Random(11)
+    words = [stream.getrandbits(32) for _ in range(2 * m)]
+    radius = [math.sqrt(-2.0 * math.log((w + 0.5) * 2.0**-32)) for w in words[:m]]
+    angle = [2.0 * math.pi * w * 2.0**-32 for w in words[m:]]
+    want = [r * math.cos(t) for r, t in zip(radius, angle)] + [r * math.sin(t) for r, t in zip(radius, angle)]
+    got = NormalSampler(11).standard_normal((3, 3))
+    assert np.allclose(got.ravel(), want[:n], rtol=1e-13, atol=0.0)
+
+
 def test_solve3d_alternating_bookkeeping():
     from thinvolt.elastic3d import flat_deformation
 
@@ -257,7 +290,7 @@ def test_solve3d_first_row_matches_full_F_eps():
         (y0, phi1),
         n_probes=8,
         radius=1e-3,
-        rng=np.random.default_rng(0),
+        rng=NormalSampler(0),
         sides=("phi",),
     )
     assert history[0, 5] == probe["phi_side"]
@@ -696,3 +729,58 @@ def test_cli_eps_override(tmp_path):
     lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
     assert len(lines) == 5
     assert lines[1].startswith("0.5")
+
+
+def test_cli_sweep_fails_far_from_the_limit(tmp_path):
+    # negative control: the shipped bending config at thick eps is far from its
+    # 2D limit (final mech_recovery margin about 0.51 against a 0.022
+    # tolerance) although its margins shrink; the sweep must fail
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "configs", "bending.json")) as fh:
+        data = json.load(fh)
+    data["grid"].update(n1=17, n2=17, n3=9)
+    cfgpath = tmp_path / "cfg.json"
+    cfgpath.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert cli_main(["sweep", "--config", str(cfgpath), "--out", str(out), "--eps", "1.0,0.9,0.8"]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["pass"] is False and summary["rows_ok"] == 3
+    conditions = summary["conditions"]
+    for name in ("mech_recovery", "total_recovery"):
+        entry = conditions[name]
+        assert not entry["pass"] and entry["final"] > 20.0 * entry["tol"]
+        assert entry["final"] < entry["values"][-2]  # shrinking margins do not pass
+    assert conditions["mech_lower"]["pass"] and conditions["elec_lower"]["pass"]
+
+
+def test_cli_subcommands_do_not_load_numpy_random(tmp_path):
+    # the probes draw from the stdlib generator: no subcommand imports
+    # numpy.random, nor the secrets/hashlib chain (libcrypto) that it pulls in
+    import thinvolt
+
+    sweep = _write_config(tmp_path / "sweep.json")
+    solve3d = _write_config(
+        tmp_path / "solve3d.json",
+        extra={"grid": {"n1": 5, "n2": 5, "n3": 4}, "eps": [0.25], "solver": {"poisson_tol": 1e-11, "max_iters": 2}},
+    )
+    solve2d = _solve2d_config(tmp_path / "solve2d.json", 200)
+    runs = [
+        ["solve3d", "--config", solve3d, "--out", str(tmp_path / "solve3d"), "--seed", "3"],
+        ["solve2d", "--config", solve2d, "--out", str(tmp_path / "solve2d"), "--seed", "3"],
+        ["sweep", "--config", sweep, "--out", str(tmp_path / "sweep")],
+        ["check", "--config", sweep, "--out", str(tmp_path / "sweep")],
+        ["relax", "--config", sweep, "--out", str(tmp_path / "relax")],
+    ]
+    script = (
+        "import json, sys\n"
+        "from thinvolt.harness import cli_main\n"
+        "codes = [cli_main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "loaded = [m for m in ('numpy.random', 'secrets', '_hashlib') if m in sys.modules]\n"
+        "print(json.dumps({'codes': codes, 'loaded': loaded}))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(thinvolt.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], capture_output=True, text=True, env=env, check=True)
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"][0] == 0 and result["codes"][1] == 0 and result["codes"][4] == 0
+    assert result["codes"][2] == result["codes"][3]
+    assert result["loaded"] == []

@@ -409,6 +409,23 @@ def test_kernels_match_the_stacked_products_bit_for_bit():
         assert np.array_equal(F, F_before), name
 
 
+def test_kernels_do_not_depend_on_the_batch():
+    # each pointwise call equals its entry of a batched call bit for bit;
+    # W_el and dW_el run a single matrix as a batch of one to keep it so
+    p = ElasticParams()
+    k = np.array([[2.0, 0.3, 0.0], [0.3, 1.5, 0.1], [0.0, 0.1, 3.0]])
+    for seed in range(4):
+        rng = np.random.default_rng(50 + seed)
+        F = _generic_batch(rng, (7, 7))
+        g = rng.standard_normal(F.shape[:-1])
+        G2 = g[..., :, None] * g[..., None, :]
+        batch = (W_el(F, p), dW_el(F, p), kappa_pullback(F, k), maxwell_stress_moment(F, k, G2), inv3(F))
+        for idx in np.ndindex(F.shape[:-2]):
+            single = (W_el(F[idx], p), dW_el(F[idx], p), kappa_pullback(F[idx], k), maxwell_stress_moment(F[idx], k, G2[idx]), inv3(F[idx]))
+            for name, got, want in zip(("W_el", "dW_el", "kappa_pullback", "maxwell_stress_moment", "inv3"), single, batch):
+                assert np.shape(got) == np.shape(want[idx]) and np.array_equal(got, want[idx]), (name, seed, idx)
+
+
 def test_barrier_overflow_is_infinite_energy_without_warning():
     # h(d) = d^(-q_w/2) - ... overflows for 0 < d below about 2e-24 at q_w = 26
     p = ElasticParams()
