@@ -128,8 +128,10 @@ def grad_M_eps(y, grid, eps, mat):
         S *= (detM * w * scale)[:, None, None]
         piece = fields.gradient_scatter(S, grid, eps, point=(0.5, 0.5, z))
         g = piece if g is None else g + piece
-    G = fields.scaled_hessian(y, grid, eps)
-    g += fields.hessian_scatter(dH_hyper(G, eps, mat.hyper) * scale, grid, eps)
+    # dH_hyper's output is fresh: scaled in place, and the Hessian dropped, one cell-Hessian array reaches the scatter
+    W = dH_hyper(fields.scaled_hessian(y, grid, eps), eps, mat.hyper)
+    W *= scale
+    g += fields.hessian_scatter(W, grid, eps)
     return g - g.mean(axis=(0, 1, 2))
 
 

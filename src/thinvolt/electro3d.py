@@ -24,7 +24,7 @@ from .cg import SolverError, pcg
 from .material import kappa_pullback
 from .smallmat import det3
 
-__all__ = ["PoissonSystem", "PoissonSystem3", "charge_load", "assemble_poisson3", "solve_potential3", "electrostatic_energy", "weak_form_residual", "E_eps", "check_pg0", "SolverError"]
+__all__ = ["PoissonSystem", "PoissonSystem3", "line_metric", "charge_load", "assemble_poisson3", "solve_potential3", "electrostatic_energy", "weak_form_residual", "E_eps", "check_pg0", "SolverError"]
 
 
 def _oriented_gradient(y, grid, eps):
@@ -175,16 +175,44 @@ class PoissonSystem3(PoissonSystem):
 
     def precondition(self, r):
         """Exact solve with the x3 column blocks of K (block-Jacobi); flat in, flat out."""
-        lower, upper, inv_pivot = self._line_factors
-        n3 = self.grid.n3
-        z = np.reshape(r, (-1, n3)).T.copy()
-        z[0] *= inv_pivot[0]
-        for l in range(1, n3):
-            z[l] -= lower[l - 1] * z[l - 1]
-            z[l] *= inv_pivot[l]
-        for l in range(n3 - 2, -1, -1):
-            z[l] -= upper[l] * z[l + 1]
+        z = np.reshape(r, (-1, self.grid.n3)).T.copy()
+        _line_solve(z, *self._line_factors)
         return z.T.ravel()
+
+
+METRIC_SHIFT = 1e-3  # line_metric's diagonal shift, relative to the mean diagonal
+
+
+def _line_solve(z, lower, upper, inv_pivot):
+    """Thomas substitution with the x3 line factors, in place on z of shape (n3, lines, ...)."""
+    z[0] *= inv_pivot[0]
+    for l in range(1, len(z)):
+        z[l] -= lower[l - 1] * z[l - 1]
+        z[l] *= inv_pivot[l]
+    for l in range(len(z) - 2, -1, -1):
+        z[l] -= upper[l] * z[l + 1]
+
+
+def line_metric(grid, eps):
+    """v -> M^-1 v for nodal vector fields (*grid.shape, k), each component solved alike.
+
+    M is the x3-line block diagonal of the identity-coefficient Q1 Laplacian
+    of PoissonSystem3 at this grid and eps, its diagonal shifted by
+    METRIC_SHIFT times its mean: the shift takes the constants, the
+    Laplacian's kernel, out of the metric's, and the x3 blocks carry the
+    1/eps^2 stiffness across the thickness. Only the Thomas factors are kept.
+    """
+    coef = np.broadcast_to(np.eye(3), grid.cshape + (3, 3))
+    system = PoissonSystem3(grid, coef, np.zeros(grid.shape), eps)
+    system.diag += METRIC_SHIFT * system.diag.mean()
+    factors = [f[..., None] for f in system._line_factors]
+
+    def inv_metric(v):
+        z = np.moveaxis(np.reshape(v, (-1, grid.n3, v.shape[-1])), 1, 0).copy()
+        _line_solve(z, *factors)
+        return np.moveaxis(z, 0, 1).reshape(v.shape)
+
+    return inv_metric
 
 
 def charge_load(density, grid, gamma):

@@ -328,16 +328,23 @@ def saddle_probe(F, point, n_probes=50, radius=1e-3, rng=None, sides=("phi", "y"
 
 
 def solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-10, grad_tol=1e-7, max_iters=100, rng=None):
-    """Alternate exact potential solves with backtracking descent in y.
+    """Alternate exact potential solves with metric-scaled descent in y.
 
-    Returns (y, phi, history, converged). Each history row records the
+    Returns (y, phi, history, converged). Each deformation step is an
+    optimize.backtrack search at the frozen potential from the unit step of
+    an L-BFGS direction: the two-loop recursion in the x3-line metric of
+    electro3d.line_metric, fed the newest curvature pair alone (the last
+    step and the change of the gradient at solved potentials, kept only
+    when their product is positive). A search that fails with the pair
+    is retried once along -M^-1 g without it. Each history row records the
     energy after the potential step and after the deformation step, the
-    gradient norm, the accepted step, the weak-form residual of the solve,
-    and the phi-side saddle probe (8 probes of radius 1e-3) at the fresh
-    potential.
+    gradient norm, the accepted Armijo step (0 when the search failed), the
+    weak-form residual of the solve, and the phi-side saddle probe (8
+    probes of radius 1e-3) at the fresh potential.
     """
     if rng is None:
         rng = NormalSampler(0)
+    inv_metric = electro3d.line_metric(grid, eps)
 
     def evaluate(c):
         # the one evaluation of a point: the start, or a trial whose accepted state is the next iterate's
@@ -353,8 +360,7 @@ def solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-10, grad_tol=1e-7
         raise ValueError("solve3d_alternating: infeasible initial deformation")
     history = []
     converged = False
-    step = 1.0
-    phi = None
+    phi = y_prev = g_prev = None
     for _ in range(int(max_iters)):
         phi = system.solve(tol=poisson_tol, x0=phi)
         # F_eps = M_eps - E_eps with M_eps and the assembled system
@@ -377,20 +383,26 @@ def solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-10, grad_tol=1e-7
             history.append((f_phi, f_phi, gnorm, 0.0, pg0, probe["phi_side"]))
             converged = True
             break
-        step = min(4.0 * step, 1e3)
+        pairs = []
+        if y_prev is not None:
+            s, dg = y - y_prev, g - g_prev
+            sy = float(np.vdot(s, dg))
+            if sy > 0.0:
+                pairs.append((s, dg, 1.0 / sy))
+        y_prev = g_prev = None  # the pair holds what the direction needs
 
         def trial(c):
             c, m, system = evaluate(c)
             f = m - electro3d.electrostatic_energy(*system.energy_parts(phi)) if system is not None else np.inf
             return f, (c, m, system)
 
-        found = optimize.backtrack(trial, y, f_phi, g, -step * g)
+        found = optimize.lbfgs_search(trial, y, f_phi, g, pairs, inv_metric)
         if found is None:
             history.append((f_phi, f_phi, gnorm, 0.0, pg0, probe["phi_side"]))
             break
+        y_prev, g_prev = y, g
         _, f_y, (y, m_y, system), t = found
-        step *= t
-        history.append((f_phi, f_y, gnorm, step, pg0, probe["phi_side"]))
+        history.append((f_phi, f_y, gnorm, t, pg0, probe["phi_side"]))
     if system is None:
         system = electro3d.assemble_poisson3(y, grid, eps, mat)
     phi = system.solve(tol=poisson_tol, x0=phi)

@@ -14,7 +14,7 @@ from collections import deque
 
 import numpy as np
 
-__all__ = ["MEMORY", "MAX_BACKTRACKS", "backtrack", "lbfgs"]
+__all__ = ["MEMORY", "MAX_BACKTRACKS", "backtrack", "lbfgs", "lbfgs_search"]
 
 MEMORY = 10  # curvature pairs kept
 ARMIJO = 1e-4  # sufficient-decrease constant
@@ -51,6 +51,19 @@ def backtrack(fun, x, f, g, p):
             return cand, float(fc), state, t
         del state  # a rejected trial's state is not kept through the next evaluation
     return None
+
+
+def lbfgs_search(fun, x, f, g, pairs, inv_metric):
+    """One L-BFGS line search: backtrack along the two-loop direction of pairs.
+
+    If that fails with pairs stored, they are cleared and the search is
+    retried once along -M^-1 g. Returns backtrack's result.
+    """
+    step = backtrack(fun, x, f, g, _direction(g, pairs, inv_metric))
+    if step is None and pairs:
+        pairs.clear()
+        step = backtrack(fun, x, f, g, -inv_metric(g))
+    return step
 
 
 def lbfgs(fun, grad, x0, inv_metric, max_iter, grad_tol):
@@ -95,10 +108,7 @@ def lbfgs(fun, grad, x0, inv_metric, max_iter, grad_tol):
             sy = float(np.vdot(s, y))
             if sy > 0.0:
                 pairs.append((s, y, 1.0 / sy))
-        step = backtrack(fun, x, f, g, _direction(g, pairs, inv_metric))
-        if step is None and pairs:
-            pairs.clear()
-            step = backtrack(fun, x, f, g, -inv_metric(g))
+        step = lbfgs_search(fun, x, f, g, pairs, inv_metric)
         if step is None:
             stop = "line_search"
             break

@@ -15,7 +15,7 @@ from thinvolt.elastic3d import (
 )
 from thinvolt.electro3d import assemble_poisson3, solve_potential3
 from thinvolt.fields import Grid3
-from thinvolt.material import Material, PrestrainModel, Q3_form
+from thinvolt.material import Material, PrestrainModel, Q3_form, dH_hyper, dW_el, maxwell_stress_moment
 from thinvolt.smallmat import random_rotation
 
 _B1 = np.array([[0.4, 0.1, 0.0], [0.1, -0.2, 0.0], [0.0, 0.0, 0.0]])
@@ -178,6 +178,32 @@ def test_grad_y_f_eps_matches_finite_differences():
         ym[idx] -= step
         fd = (F_eps(yp, phi, grid, eps, mat) - F_eps(ym, phi, grid, eps, mat)) / (2.0 * step)
         assert abs(fd - g[idx]) < 1e-5 * max(scale, 1.0)
+
+
+def test_grad_y_f_eps_is_the_out_of_place_expression_to_the_bit():
+    # grad_M_eps scales dH_hyper's fresh output in place; the out-of-place
+    # expression it replaced, kept here, gives the same bits
+    grid = Grid3(5, 6, 5)
+    eps = 0.3
+    mat = Material(prestrain=PrestrainModel(B0=0.5 * _B1, B1=_B1))
+    y = _gentle_bend(grid, eps, amp=0.08)
+    phi = solve_potential3(assemble_poisson3(y, grid, eps, mat), tol=1e-12)
+    scale = grid.cell_volume / (eps * eps)
+    g = None
+    for w, z, arg, Minv, detM in elastic3d._gauss_points(y, grid, eps, mat):
+        S = elastic3d._layer_matmul(dW_el(arg, mat.elastic), np.ascontiguousarray(np.swapaxes(Minv, -1, -2)))
+        S *= (detM * w * scale)[:, None, None]
+        piece = fields.gradient_scatter(S, grid, eps, point=(0.5, 0.5, z))
+        g = piece if g is None else g + piece
+    G = fields.scaled_hessian(y, grid, eps)
+    assert np.max(np.abs(dH_hyper(G, eps, mat.hyper))) > 0.0
+    g += fields.hessian_scatter(dH_hyper(G, eps, mat.hyper) * scale, grid, eps)
+    g = g - g.mean(axis=(0, 1, 2))
+    assert np.array_equal(grad_M_eps(y, grid, eps, mat), g)
+    F = fields.scaled_gradient(y, grid, eps)
+    G2 = fields.gradient_second_moments(phi, grid, eps)
+    g += fields.gradient_scatter(mat.coupling.beta * maxwell_stress_moment(F, mat.permittivity.k, G2), grid, eps)
+    assert np.array_equal(grad_y_F_eps(y, phi, grid, eps, mat), g - g.mean(axis=(0, 1, 2)))
 
 
 def test_f_eps_saddle_signs():

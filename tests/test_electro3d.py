@@ -10,12 +10,14 @@ import pytest
 from thinvolt import fields
 from thinvolt.cg import SolverError, _project, pcg
 from thinvolt.electro3d import (
+    METRIC_SHIFT,
     E_eps,
     PoissonSystem,
     assemble_poisson3,
     charge_load,
     check_pg0,
     electrostatic_energy,
+    line_metric,
     solve_potential3,
     weak_form_residual,
 )
@@ -541,6 +543,27 @@ def test_line_blocks_match_dense_column_blocks():
     for _ in range(5):
         x = rng.standard_normal(n)
         assert np.max(np.abs(system.precondition(K_col @ x) - x)) < 1e-12 * np.max(np.abs(x))
+
+
+@pytest.mark.parametrize("eps", [0.25, 0.05])
+def test_line_metric_is_the_shifted_line_block_solve(eps):
+    # each component solved with the x3 column blocks of the dense
+    # identity-coefficient stiffness, diagonal shifted by METRIC_SHIFT of its
+    # mean; the metric is symmetric and positive definite
+    grid = Grid3(4, 3, 6)
+    n = int(np.prod(grid.shape))
+    K = _dense_constant_coef_stiffness(grid, eps, np.eye(3))
+    line = np.arange(n) // grid.n3
+    M = np.where(np.equal.outer(line, line), K, 0.0) + METRIC_SHIFT * np.mean(np.diagonal(K)) * np.eye(n)
+    inv_metric = line_metric(grid, eps)
+    v = np.random.default_rng(41).standard_normal(grid.shape + (3,))
+    got = inv_metric(v)
+    want = np.linalg.solve(M, v.reshape(n, 3))
+    assert got.shape == v.shape
+    assert np.max(np.abs(got.reshape(n, 3) - want)) <= 1e-12 * np.max(np.abs(want))
+    Minv = np.stack([inv_metric(e.reshape(grid.shape + (1,))).ravel() for e in np.eye(n)], axis=1)
+    assert np.max(np.abs(Minv - Minv.T)) <= 1e-12 * np.max(np.abs(Minv))
+    assert np.min(np.linalg.eigvalsh(Minv)) > 0.0
 
 
 def test_line_preconditioned_pcg_iterations_flat_in_eps():
