@@ -7,11 +7,24 @@ the residual and the preconditioned residual onto the zero-sum subspace
 every step to keep roundoff from drifting along the kernel. The caller
 passes the preconditioner: each assembled system carries its own
 (electro3d.PoissonSystem.precondition).
+
+A caller that certifies energies rather than residuals can also stop at
+the energy gap. PCG minimises J(x) = x.Kx/2 - b.x, and its own
+coefficients give the gap J(x_k) - J(x*) = |x_k - x*|_K^2 / 2: it is half
+the sum of alpha_j r_j.z_j over j >= k, and the GAP_DELAY newest terms
+estimate it (the delayed Hestenes-Stiefel estimate; Strakos & Tichy,
+ETNA 13, 2002).
 """
+
+from collections import deque
 
 import numpy as np
 
-__all__ = ["SolverError", "pcg"]
+__all__ = ["GAP_DELAY", "GAP_TOL", "WEAK_FORM_TOL", "SolverError", "pcg"]
+
+GAP_DELAY = 3  # alpha_j r_j.z_j terms in the delayed estimate of the energy gap
+GAP_TOL = 1e-14  # the gap stop's bound, relative to 1 + |J|; two orders under a 1e-12 gap gate
+WEAK_FORM_TOL = 1e-11  # |x.r| bound, relative to 1 + |b.x|; three orders under the 1e-8 weak-form gate
 
 
 class SolverError(RuntimeError):
@@ -31,12 +44,36 @@ def _project(v):
     return v
 
 
-def pcg(matvec, b, precond, tol=1e-10, max_iter=None, x0=None):
+def _gap_estimate(terms):
+    """The energy gap of the iterate len(terms) steps back, from its delayed alpha_j r_j.z_j terms.
+
+    The terms leave out the gap of the newest iterate, so the estimate is
+    a lower bound, sharp once the iteration converges linearly.
+    """
+    return 0.5 * sum(terms)
+
+
+def _gap_closed(x, r, b, terms):
+    """The gap stop: the delayed gap estimate and the weak-form residual x.r both small.
+
+    The estimate bounds the gap of the iterate GAP_DELAY steps back, and the
+    gap falls monotonically, so x's own gap is smaller still. The gap is
+    second order in the error and x.r = b.x - x.Kx first order, so after a
+    close warm start a small gap alone can leave the weak-form identity off.
+    """
+    moment = abs(float(b @ x))
+    return _gap_estimate(terms) <= GAP_TOL * (1.0 + 0.5 * moment) and abs(float(x @ r)) <= WEAK_FORM_TOL * (1.0 + moment)
+
+
+def pcg(matvec, b, precond, tol=1e-10, max_iter=None, x0=None, gap_stop=False):
     """Solve K x = b on the zero-sum subspace; returns (x, residual_history).
 
     matvec maps flat vectors to flat vectors and precond applies an SPD
     approximation of K^{-1} to a flat residual.
-    Convergence means ||b - K x||_2 <= tol * ||b||_2.
+    Convergence means ||b - K x||_2 <= tol * ||b||_2 or, with gap_stop, that
+    the delayed estimate of the energy gap is at most GAP_TOL (1 + |J|),
+    |J| taken as |b.x| / 2, and |x.r| at most WEAK_FORM_TOL (1 + |b.x|),
+    whichever comes first.
     """
     b = np.asarray(b, dtype=float).ravel().copy()
     _project(b)
@@ -59,14 +96,22 @@ def pcg(matvec, b, precond, tol=1e-10, max_iter=None, x0=None):
     p = z.copy()
     rz = float(r @ z)
     history = [np.linalg.norm(r) / bnorm]
-    for _ in range(max_iter):
+    terms = deque(maxlen=GAP_DELAY)  # alpha_j r_j.z_j of the newest iterations
+
+    def converged():
         if history[-1] <= tol:
+            return True
+        return gap_stop and len(terms) == GAP_DELAY and _gap_closed(x, r, b, terms)
+
+    for _ in range(max_iter):
+        if converged():
             return x, history
         Ap = matvec(p)
         pAp = float(p @ Ap)
         if pAp <= 0.0:
             raise SolverError("pcg: operator lost positive definiteness", history)
         alpha = rz / pAp
+        terms.append(alpha * rz)
         x += alpha * p
         r -= alpha * Ap
         _project(r)
@@ -76,7 +121,7 @@ def pcg(matvec, b, precond, tol=1e-10, max_iter=None, x0=None):
         p = z + (rz_new / rz) * p
         rz = rz_new
         history.append(np.linalg.norm(r) / bnorm)
-    if history[-1] <= tol:
+    if converged():
         return x, history
     raise SolverError(
         f"pcg: no convergence in {max_iter} iterations (residual {history[-1]:.3e})",

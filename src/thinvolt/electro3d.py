@@ -87,6 +87,7 @@ class PoissonSystem:
         self.coef = coef
         self.stencil = _stencil(coef, grid, eps)
         self.diag = self.stencil[(0,) * len(grid.shape)]
+        self.pcg_iterations = 0  # of the last solve
         if np.any(self.diag <= 0.0):
             raise ValueError("PoissonSystem: operator diagonal must be positive")
         strides = [math.prod(grid.shape[k + 1 :]) for k in range(len(grid.shape))]
@@ -125,10 +126,13 @@ class PoissonSystem:
         off-diagonal terms that phi . apply(phi) carries on thin plates.
         """
         x = np.ravel(phi)
+        scratch = np.empty(x.size)  # each offset's differences and their squares, in place
         quad = 0.0
         for d, s in self._shifts:
-            e = x[:-d] - x[d:]
-            quad -= float(np.dot(s, e * e))
+            e = scratch[: x.size - d]
+            np.subtract(x[:-d], x[d:], out=e)
+            np.multiply(e, e, out=e)
+            quad -= float(np.dot(s, e))
         return quad, float(np.dot(self.b_raw.ravel(), x))
 
     def matvec(self, x):
@@ -138,9 +142,13 @@ class PoissonSystem:
         """Jacobi: r divided by the operator diagonal; flat in, flat out."""
         return r / self.diag.ravel()
 
-    def solve(self, tol=1e-10, x0=None):
-        """Projected PCG solve with the system's own preconditioner; the potential with weighted zero mean."""
-        x, _ = pcg(self.matvec, self.b, self.precondition, tol=tol, x0=x0)
+    def solve(self, tol=1e-10, x0=None, gap_stop=False):
+        """Projected PCG solve with the system's own preconditioner; the potential with weighted zero mean.
+
+        gap_stop also lets the solve stop at pcg's energy-gap rule.
+        """
+        x, history = pcg(self.matvec, self.b, self.precondition, tol=tol, x0=x0, gap_stop=gap_stop)
+        self.pcg_iterations = len(history) - 1
         phi = x.reshape(self.grid.shape)
         return phi - float(np.sum(self.weights * phi))
 

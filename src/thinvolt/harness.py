@@ -327,20 +327,25 @@ def saddle_probe(F, point, n_probes=50, radius=1e-3, rng=None, sides=("phi", "y"
 # 3D alternating solver
 
 
-def solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-10, grad_tol=1e-7, max_iters=100, rng=None):
+def solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-10, grad_tol=1e-7, max_iters=100, rng=None, *, telemetry=None):
     """Alternate exact potential solves with metric-scaled descent in y.
 
-    Returns (y, phi, history, converged). Each deformation step is an
-    optimize.backtrack search at the frozen potential from the unit step of
-    an L-BFGS direction: the two-loop recursion in the x3-line metric of
-    electro3d.line_metric, fed the newest curvature pair alone (the last
-    step and the change of the gradient at solved potentials, kept only
-    when their product is positive). A search that fails with the pair
-    is retried once along -M^-1 g without it. Each history row records the
-    energy after the potential step and after the deformation step, the
-    gradient norm, the accepted Armijo step (0 when the search failed), the
-    weak-form residual of the solve, and the phi-side saddle probe (8
-    probes of radius 1e-3) at the fresh potential.
+    Returns (y, phi, history, converged). Each potential solve stops at
+    poisson_tol or at pcg's energy-gap rule (cg.GAP_TOL, with the weak-form
+    bound cg.WEAK_FORM_TOL), whichever comes first. Each deformation step
+    is an optimize.backtrack search at the frozen potential from the unit
+    step of an L-BFGS direction: the two-loop recursion in the x3-line
+    metric of electro3d.line_metric, fed the newest curvature pair alone
+    (the last step and the change of the gradient at solved potentials,
+    kept only when their product is positive). A rejected finite trial
+    moves the step to the safeguarded quadratic-interpolation guess. A
+    search that fails with the pair is retried once along -M^-1 g without
+    it. Each history row records the energy after the potential step and
+    after the deformation step, the gradient norm, the accepted Armijo step
+    (0 when the search failed), the weak-form residual of the solve, and
+    the phi-side saddle probe (8 probes of radius 1e-3) at the fresh
+    potential. A telemetry dict, when given, receives pcg_iterations, the
+    PCG iterations summed over every potential solve.
     """
     if rng is None:
         rng = NormalSampler(0)
@@ -361,8 +366,10 @@ def solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-10, grad_tol=1e-7
     history = []
     converged = False
     phi = y_prev = g_prev = None
+    pcg_iterations = 0
     for _ in range(int(max_iters)):
-        phi = system.solve(tol=poisson_tol, x0=phi)
+        phi = system.solve(tol=poisson_tol, x0=phi, gap_stop=True)
+        pcg_iterations += system.pcg_iterations
         # F_eps = M_eps - E_eps with M_eps and the assembled system
         # independent of phi: the phi-side evaluations are quadratic forms of
         # the iterate's system next to one M_eps
@@ -396,7 +403,7 @@ def solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-10, grad_tol=1e-7
             f = m - electro3d.electrostatic_energy(*system.energy_parts(phi)) if system is not None else np.inf
             return f, (c, m, system)
 
-        found = optimize.lbfgs_search(trial, y, f_phi, g, pairs, inv_metric)
+        found = optimize.lbfgs_search(trial, y, f_phi, g, pairs, inv_metric, interpolate=True)
         if found is None:
             history.append((f_phi, f_phi, gnorm, 0.0, pg0, probe["phi_side"]))
             break
@@ -405,7 +412,9 @@ def solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-10, grad_tol=1e-7
         history.append((f_phi, f_y, gnorm, t, pg0, probe["phi_side"]))
     if system is None:
         system = electro3d.assemble_poisson3(y, grid, eps, mat)
-    phi = system.solve(tol=poisson_tol, x0=phi)
+    phi = system.solve(tol=poisson_tol, x0=phi, gap_stop=True)
+    if telemetry is not None:
+        telemetry["pcg_iterations"] = pcg_iterations + system.pcg_iterations
     return y, phi, np.array(history), converged
 
 
@@ -490,6 +499,7 @@ def _cmd_solve3d(cfg, out_dir):
     d = optimal_corrector(inputs, grid3, rq)
     y_init = lift_deformation(inputs.isometry, eps, grid3, inputs.g_matrix, d)
     rng = NormalSampler(cfg.seed)
+    telemetry = {}
     try:
         y, phi, history, converged = solve3d_alternating(
             grid3,
@@ -500,6 +510,7 @@ def _cmd_solve3d(cfg, out_dir):
             grad_tol=cfg.grad_tol,
             max_iters=cfg.max_iters,
             rng=rng,
+            telemetry=telemetry,
         )
     except (ValueError, electro3d.SolverError) as exc:  # an infeasible start, or a potential solve that failed
         return _report_failure(out_dir, exc, mode="solve3d", seed=cfg.seed, eps=eps)
@@ -521,6 +532,7 @@ def _cmd_solve3d(cfg, out_dir):
         "grad_norm": float(history[-1][2]),
         "worst_pg0": worst_pg0,
         "worst_phi_probe": worst_probe,
+        "pcg_iterations": telemetry["pcg_iterations"],
         "pass": bool(finite and worst_probe <= 1e-8 and worst_pg0 <= 1e-8),
     }
     _write_json(os.path.join(out_dir, "summary.json"), summary)

@@ -390,6 +390,21 @@ def test_energy_parts_match_gauss_quadrature(dim):
     assert weak_form_residual(quad, moment) < 1e-10
 
 
+@pytest.mark.parametrize("dim", [2, 3], ids=["grid2", "grid3"])
+def test_energy_parts_equal_the_per_offset_loop_to_the_bit(dim):
+    # energy_parts squares each offset's differences in one scratch buffer;
+    # the sums are those of a fresh difference array per offset
+    system, _, _, solved = _curved_system(dim)
+    x = np.ravel(np.random.default_rng(28).standard_normal(system.grid.shape))
+    for phi in (x.reshape(system.grid.shape), solved):
+        flat = np.ravel(phi)
+        quad = 0.0
+        for d, s in system._shifts:
+            e = flat[:-d] - flat[d:]
+            quad -= float(np.dot(s, e * e))
+        assert system.energy_parts(phi) == (quad, float(np.dot(system.b_raw.ravel(), flat)))
+
+
 def test_energy_evaluators_are_the_assembled_quadratic_form():
     grid = Grid3(9, 7, 5)
     eps = 1.0 / 32.0
@@ -487,6 +502,124 @@ def test_pcg_projection_is_the_mean_subtraction_to_the_bit():
         got = v.copy()
         assert _project(got) is got
         assert np.array_equal(got, v - v.mean())
+
+
+def _pcg_residual_stop(matvec, b, precond, tol, x0=None):
+    # pcg's loop with the residual stop alone, as it stood before the gap stop
+    b = np.asarray(b, dtype=float).ravel().copy()
+    _project(b)
+    n = b.size
+    bnorm = np.linalg.norm(b)
+    if x0 is None:
+        x = np.zeros(n)
+        r = b.copy()
+    else:
+        x = np.asarray(x0, dtype=float).ravel().copy()
+        _project(x)
+        r = b - matvec(x)
+    _project(r)
+    z = precond(r)
+    _project(z)
+    p = z.copy()
+    rz = float(r @ z)
+    history = [np.linalg.norm(r) / bnorm]
+    for _ in range(min(8 * n, 40000)):
+        if history[-1] <= tol:
+            return x, history
+        Ap = matvec(p)
+        alpha = rz / float(p @ Ap)
+        x += alpha * p
+        r -= alpha * Ap
+        _project(r)
+        z = precond(r)
+        _project(z)
+        rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+        history.append(np.linalg.norm(r) / bnorm)
+    raise AssertionError("no convergence")
+
+
+def _coupled_start_system(perturbation=0.0):
+    # the potential system of configs/coupled.json at its largest eps, on the
+    # lifted start, its x3 component moved by perturbation * sin(pi x1)
+    from thinvolt.recovery import lift_deformation, optimal_corrector
+    from thinvolt.relaxation import RelaxedQ2
+
+    cfg = RunConfig.from_file(os.path.join(os.path.dirname(__file__), os.pardir, "configs", "coupled.json"))
+    grid, eps = cfg.grid3(), cfg.eps_list[0]
+    inputs = cfg.recovery_inputs(cfg.grid2())
+    d = optimal_corrector(inputs, grid, RelaxedQ2.of(cfg.material))
+    y = lift_deformation(inputs.isometry, eps, grid, inputs.g_matrix, d)
+    y[..., 2] += perturbation * np.sin(np.pi * grid.x1)[:, None, None]
+    return assemble_poisson3(y, grid, eps, cfg.material)
+
+
+def _exact_gap(system, x, x_star):
+    # J(x) - J(x*) = |x - x*|_K^2 / 2, summed in edge-difference form
+    return 0.5 * system.energy_parts((x - x_star).reshape(system.grid.shape))[0]
+
+
+@pytest.mark.parametrize("dim", [2, 3], ids=["grid2", "grid3"])
+def test_pcg_without_the_gap_stop_is_the_residual_loop_to_the_bit(dim):
+    # the sweep and solve2d solve without the gap stop: their iterates and
+    # residuals stay those of the residual-only loop
+    system, _, _, _ = _curved_system(dim)
+    x0 = np.random.default_rng(29).standard_normal(system.grid.shape)
+    for start in (None, x0):
+        x, hist = pcg(system.matvec, system.b, system.precondition, tol=1e-12, x0=start)
+        x_ref, hist_ref = _pcg_residual_stop(system.matvec, system.b, system.precondition, 1e-12, x0=start)
+        assert np.array_equal(x, x_ref) and hist == hist_ref
+
+
+def test_pcg_gap_estimate_matches_the_exact_gap(monkeypatch):
+    # over a cold solve from the lifted coupled.json start, half the delayed
+    # sum of alpha_j r_j.z_j is the gap of the iterate GAP_DELAY steps back
+    # to 10% from the fourth iterate on (11% at the third, where the
+    # iteration is still far from its linear rate)
+    from thinvolt import cg
+
+    system = _coupled_start_system()
+    x_star, _ = pcg(system.matvec, system.b, system.precondition, tol=1e-15)
+    seen = []
+    gap_closed = cg._gap_closed
+
+    def recorded(x, r, b, terms):
+        seen.append((x.copy(), cg._gap_estimate(terms)))
+        return gap_closed(x, r, b, terms)
+
+    monkeypatch.setattr(cg, "_gap_closed", recorded)
+    pcg(system.matvec, system.b, system.precondition, tol=1e-14, gap_stop=True)
+    iterates = [x for x, _ in seen]
+    checked = 0
+    for k, (_, estimate) in enumerate(seen[cg.GAP_DELAY + 1 :], start=cg.GAP_DELAY + 1):
+        exact = _exact_gap(system, iterates[k - cg.GAP_DELAY], x_star)
+        assert abs(estimate - exact) <= 0.1 * exact, (k, estimate, exact)
+        checked += 1
+    assert checked >= 10
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_pcg_gap_stop_returns_a_certified_potential(warm):
+    # the returned potential's exact gap is within GAP_TOL (1 + |E|) and its
+    # weak-form residual within WEAK_FORM_TOL (1 + |moment|), in fewer
+    # iterations than the residual stop; the warm start is the potential of
+    # a deformation 1e-6 away, late-row solve3d territory, where the gap
+    # alone would stop with a weak-form residual near 1e-8
+    from thinvolt.cg import GAP_TOL, WEAK_FORM_TOL
+
+    system = _coupled_start_system(1e-6)
+    x0 = _coupled_start_system().solve(tol=1e-14) if warm else None
+    x_star, _ = pcg(system.matvec, system.b, system.precondition, tol=1e-15)
+    x, hist = pcg(system.matvec, system.b, system.precondition, tol=1e-14, x0=x0, gap_stop=True)
+    _, hist_residual = pcg(system.matvec, system.b, system.precondition, tol=1e-12, x0=x0)
+    assert hist[-1] > 1e-14 and len(hist) < len(hist_residual)
+    phi = system.solve(tol=1e-14, x0=x0, gap_stop=True)
+    assert system.pcg_iterations == len(hist) - 1
+    quad, moment = system.energy_parts(phi)
+    energy = electrostatic_energy(quad, moment)
+    assert _exact_gap(system, x, x_star) <= GAP_TOL * (1.0 + abs(energy))
+    assert abs(quad - moment) <= WEAK_FORM_TOL * (1.0 + abs(moment))
 
 
 @pytest.mark.parametrize("dim", [2, 3], ids=["grid2", "grid3"])

@@ -189,6 +189,37 @@ def test_backtrack_returns_accepted_trial_state():
     assert len(seen) == 3
 
 
+def test_backtrack_interpolation_lands_on_a_quadratic_minimiser():
+    # f = |x|^2 from x = 1 along p = -4: the unit step's value fixes the
+    # quadratic, whose minimiser t = 1/4 is the second trial
+    seen = []
+
+    def fun(x):
+        seen.append(x.copy())
+        return float(np.sum(x * x)), None
+
+    x = np.array([1.0])
+    x_new, f_new, _, t = backtrack(fun, x, 1.0, 2.0 * x, np.array([-4.0]), interpolate=True)
+    assert t == 0.25 and f_new == 0.0 and np.array_equal(x_new, [0.0])
+    assert len(seen) == 2
+
+
+def test_backtrack_interpolation_is_safeguarded():
+    # from x = 0 along p = -1 with slope -1, each trial's value is scripted:
+    # a non-finite value halves the step; a steep rise would put the guess
+    # at 0.0012, clipped up to 0.1 t; a value just above the Armijo line
+    # would put it a hair above 0.5 t, clipped down
+    script = iter([np.inf, 100.0, -0.5e-5 * 0.5, -1.0])
+    steps = []
+
+    def fun(x):
+        steps.append(-float(x[0]))
+        return next(script), None
+
+    _, f_new, _, t = backtrack(fun, np.zeros(1), 0.0, np.ones(1), -np.ones(1), interpolate=True)
+    assert steps == [1.0, 0.5, 0.05, 0.025] and t == 0.025 and f_new == -1.0
+
+
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_backtrack_gives_up_on_non_finite_trials(bad):
     calls = []
