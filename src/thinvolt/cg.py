@@ -56,10 +56,15 @@ def _gap_estimate(terms):
 def _gap_closed(x, r, b, terms):
     """The gap stop: the delayed gap estimate and the weak-form residual x.r both small.
 
-    The estimate bounds the gap of the iterate GAP_DELAY steps back, and the
-    gap falls monotonically, so x's own gap is smaller still. The gap is
-    second order in the error and x.r = b.x - x.Kx first order, so after a
-    close warm start a small gap alone can leave the weak-form identity off.
+    The gap condition is a heuristic. The estimate is the gap of the
+    iterate GAP_DELAY steps back less x's own gap, so it bounds x's gap
+    only once the iteration contracts fast enough: at a linear rate rho
+    per step x's gap is the estimate times rho^d / (1 - rho^d), d =
+    GAP_DELAY, at most the estimate for rho^d <= 1/2. The weak-form
+    condition is the certificate that holds outright, since x.r is
+    computed, not estimated. It is also needed: the gap is second order
+    in the error and x.r = b.x - x.Kx first order, so after a close warm
+    start a small gap alone can leave the weak-form identity off.
     """
     moment = abs(float(b @ x))
     return _gap_estimate(terms) <= GAP_TOL * (1.0 + 0.5 * moment) and abs(float(x @ r)) <= WEAK_FORM_TOL * (1.0 + moment)

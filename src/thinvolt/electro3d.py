@@ -87,7 +87,6 @@ class PoissonSystem:
         self.coef = coef
         self.stencil = _stencil(coef, grid, eps)
         self.diag = self.stencil[(0,) * len(grid.shape)]
-        self.pcg_iterations = 0  # of the last solve
         if np.any(self.diag <= 0.0):
             raise ValueError("PoissonSystem: operator diagonal must be positive")
         strides = [math.prod(grid.shape[k + 1 :]) for k in range(len(grid.shape))]
@@ -142,13 +141,16 @@ class PoissonSystem:
         """Jacobi: r divided by the operator diagonal; flat in, flat out."""
         return r / self.diag.ravel()
 
-    def solve(self, tol=1e-10, x0=None, gap_stop=False):
+    def solve(self, tol=1e-10, x0=None, gap_stop=False, telemetry=None):
         """Projected PCG solve with the system's own preconditioner; the potential with weighted zero mean.
 
-        gap_stop also lets the solve stop at pcg's energy-gap rule.
+        gap_stop also lets the solve stop at pcg's energy-gap rule. A
+        telemetry dict, when given, has the solve's PCG iterations added to
+        its "pcg_iterations".
         """
         x, history = pcg(self.matvec, self.b, self.precondition, tol=tol, x0=x0, gap_stop=gap_stop)
-        self.pcg_iterations = len(history) - 1
+        if telemetry is not None:
+            telemetry["pcg_iterations"] = telemetry.get("pcg_iterations", 0) + len(history) - 1
         phi = x.reshape(self.grid.shape)
         return phi - float(np.sum(self.weights * phi))
 

@@ -344,8 +344,9 @@ def solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-10, grad_tol=1e-7
     after the deformation step, the gradient norm, the accepted Armijo step
     (0 when the search failed), the weak-form residual of the solve, and
     the phi-side saddle probe (8 probes of radius 1e-3) at the fresh
-    potential. A telemetry dict, when given, receives pcg_iterations, the
-    PCG iterations summed over every potential solve.
+    potential. telemetry is the run-statistics channel: a dict, when given,
+    that every potential solve adds its PCG iterations to, under
+    "pcg_iterations"; later run counters belong there too.
     """
     if rng is None:
         rng = NormalSampler(0)
@@ -366,10 +367,8 @@ def solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-10, grad_tol=1e-7
     history = []
     converged = False
     phi = y_prev = g_prev = None
-    pcg_iterations = 0
     for _ in range(int(max_iters)):
-        phi = system.solve(tol=poisson_tol, x0=phi, gap_stop=True)
-        pcg_iterations += system.pcg_iterations
+        phi = system.solve(tol=poisson_tol, x0=phi, gap_stop=True, telemetry=telemetry)
         # F_eps = M_eps - E_eps with M_eps and the assembled system
         # independent of phi: the phi-side evaluations are quadratic forms of
         # the iterate's system next to one M_eps
@@ -403,7 +402,7 @@ def solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-10, grad_tol=1e-7
             f = m - electro3d.electrostatic_energy(*system.energy_parts(phi)) if system is not None else np.inf
             return f, (c, m, system)
 
-        found = optimize.lbfgs_search(trial, y, f_phi, g, pairs, inv_metric, interpolate=True)
+        found = optimize.lbfgs_search(trial, y, f_phi, g, pairs, inv_metric)
         if found is None:
             history.append((f_phi, f_phi, gnorm, 0.0, pg0, probe["phi_side"]))
             break
@@ -412,9 +411,7 @@ def solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-10, grad_tol=1e-7
         history.append((f_phi, f_y, gnorm, t, pg0, probe["phi_side"]))
     if system is None:
         system = electro3d.assemble_poisson3(y, grid, eps, mat)
-    phi = system.solve(tol=poisson_tol, x0=phi, gap_stop=True)
-    if telemetry is not None:
-        telemetry["pcg_iterations"] = pcg_iterations + system.pcg_iterations
+    phi = system.solve(tol=poisson_tol, x0=phi, gap_stop=True, telemetry=telemetry)
     return y, phi, np.array(history), converged
 
 

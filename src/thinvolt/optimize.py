@@ -18,7 +18,7 @@ __all__ = ["MEMORY", "MAX_BACKTRACKS", "backtrack", "lbfgs", "lbfgs_search"]
 
 MEMORY = 10  # curvature pairs kept
 ARMIJO = 1e-4  # sufficient-decrease constant
-MAX_BACKTRACKS = 40  # step halvings before a line search gives up
+MAX_BACKTRACKS = 40  # trials before a line search gives up
 
 
 def _direction(g, pairs, inv_metric):
@@ -40,13 +40,13 @@ def _direction(g, pairs, inv_metric):
     return -r
 
 
-def backtrack(fun, x, f, g, p, interpolate=False):
+def backtrack(fun, x, f, g, p):
     """Armijo backtracking from the unit step; (x, f, state, t) accepted, or None.
 
-    A rejected trial halves the step. With interpolate, a rejected finite
-    trial moves it instead to the minimiser of the quadratic through f, the
-    slope and the trial's value, safeguarded to [0.1 t, 0.5 t] (Nocedal &
-    Wright 2006, section 3.5); a non-finite trial still halves it.
+    A rejected finite trial moves the step to the minimiser of the
+    quadratic through f, the slope and the trial's value, safeguarded to
+    [0.1 t, 0.5 t] (Nocedal & Wright 2006, section 3.5); a non-finite trial
+    halves it.
     """
     slope = float(np.vdot(g, p))
     t = 1.0
@@ -57,24 +57,23 @@ def backtrack(fun, x, f, g, p, interpolate=False):
             return cand, float(fc), state, t
         del state  # a rejected trial's state is not kept through the next evaluation
         curvature = fc - f - slope * t  # positive for a rejected finite trial along a descent direction
-        if interpolate and np.isfinite(curvature) and curvature > 0.0:
+        if np.isfinite(curvature) and curvature > 0.0:
             t = min(max(-slope * t * t / (2.0 * curvature), 0.1 * t), 0.5 * t)
         else:
             t *= 0.5
     return None
 
 
-def lbfgs_search(fun, x, f, g, pairs, inv_metric, interpolate=False):
+def lbfgs_search(fun, x, f, g, pairs, inv_metric):
     """One L-BFGS line search: backtrack along the two-loop direction of pairs.
 
     If that fails with pairs stored, they are cleared and the search is
-    retried once along -M^-1 g. Returns backtrack's result; interpolate is
-    passed to both searches.
+    retried once along -M^-1 g. Returns backtrack's result.
     """
-    step = backtrack(fun, x, f, g, _direction(g, pairs, inv_metric), interpolate)
+    step = backtrack(fun, x, f, g, _direction(g, pairs, inv_metric))
     if step is None and pairs:
         pairs.clear()
-        step = backtrack(fun, x, f, g, -inv_metric(g), interpolate)
+        step = backtrack(fun, x, f, g, -inv_metric(g))
     return step
 
 

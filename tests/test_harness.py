@@ -444,13 +444,8 @@ def _lifted_coupled_start(n1=9, n2=9, n3=5):
     return grid, eps, cfg.material, lift_deformation(inputs.isometry, eps, grid, inputs.g_matrix, d)
 
 
-def test_solve3d_metric_steps_are_accepted_near_the_unit_step(monkeypatch):
-    # the x3-line metric absorbs the 1/eps^2 thickness stiffness, so once a
-    # curvature pair scales the direction its unit step is accepted; the
-    # first row has no pair, and its quadratic-interpolation trials reach an
-    # accepted step within four. Euclidean directions need several halvings
-    # per row. The grid is the shipped 17x17x9 (on 9x9x5 one later row
-    # takes a step of 0.35)
+def _solve3d_trials(monkeypatch, start):
+    # (history, trials per line search) of ten solve3d rows from start
     from thinvolt import optimize
 
     trials = []
@@ -466,13 +461,30 @@ def test_solve3d_metric_steps_are_accepted_near_the_unit_step(monkeypatch):
         return backtrack(counted_fun, *args)
 
     monkeypatch.setattr(optimize, "backtrack", counted_backtrack)
-    grid, eps, mat, y_init = _lifted_coupled_start(17, 17, 9)
+    grid, eps, mat, y_init = start
     _, _, history, _ = solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-10, max_iters=10)
+    return history, trials
+
+
+def test_solve3d_metric_steps_are_accepted_near_the_unit_step(monkeypatch):
+    # the x3-line metric absorbs the 1/eps^2 thickness stiffness, so the
+    # direction's unit step is accepted after at most one rejected trial on
+    # average; Euclidean directions need several halvings per row
+    history, trials = _solve3d_trials(monkeypatch, _lifted_coupled_start())
     assert history.shape[0] == 10 and sum(trials) <= 2 * 10
     # the step column is the accepted Armijo step
     assert np.all((history[:, 3] > 0.0) & (history[:, 3] <= 1.0))
+
+
+def test_solve3d_takes_the_unit_step_after_the_first_row_on_the_shipped_grid(monkeypatch):
+    # on the shipped 17x17x9 grid, once a curvature pair scales the metric
+    # direction its unit step is accepted; the first row has no pair, and
+    # its quadratic-interpolation trials reach an accepted step within four
+    # (on 9x9x5 one later row takes a step of 0.35)
+    history, trials = _solve3d_trials(monkeypatch, _lifted_coupled_start(17, 17, 9))
+    assert history.shape[0] == 10 and len(trials) == 10 and sum(trials) <= 2 * 10
+    assert 0.0 < history[0, 3] < 1.0 and trials[0] <= 4
     assert np.all(history[1:, 3] == 1.0)
-    assert len(trials) == 10 and trials[0] <= 4
 
 
 def test_solve3d_reaches_the_configured_critical_point_within_budget():
@@ -534,11 +546,11 @@ def test_solve3d_retries_a_failed_search_along_the_metric_gradient(monkeypatch):
     searches = []
     backtrack = optimize.backtrack
 
-    def failing_with_a_pair(fun, x, f, g, p, interpolate=False):
+    def failing_with_a_pair(fun, x, f, g, p):
         searches.append(p.copy())
         if rows["pairs"][-1] and len(searches) == 2:
             return None
-        return backtrack(fun, x, f, g, p, interpolate)
+        return backtrack(fun, x, f, g, p)
 
     monkeypatch.setattr(optimize, "backtrack", failing_with_a_pair)
     grid, eps, mat, y_init = _lifted_coupled_start()

@@ -175,7 +175,8 @@ def test_lbfgs_returned_state_belongs_to_returned_point():
 
 
 def test_backtrack_returns_accepted_trial_state():
-    # f = |x|^2 from x = 1 along p = -4: t = 1 and t = 1/2 fail, t = 1/4 lands on 0
+    # f = |x|^2 from x = 1 along p = -4: t = 1 fails, and the quadratic its
+    # value fixes puts the second trial at the minimiser t = 1/4, on 0
     seen = []
 
     def fun(x):
@@ -186,21 +187,6 @@ def test_backtrack_returns_accepted_trial_state():
     x_new, f_new, state, t = backtrack(fun, x, 1.0, 2.0 * x, np.array([-4.0]))
     assert t == 0.25 and f_new == 0.0
     assert np.array_equal(x_new, [0.0]) and np.array_equal(state[1], x_new)
-    assert len(seen) == 3
-
-
-def test_backtrack_interpolation_lands_on_a_quadratic_minimiser():
-    # f = |x|^2 from x = 1 along p = -4: the unit step's value fixes the
-    # quadratic, whose minimiser t = 1/4 is the second trial
-    seen = []
-
-    def fun(x):
-        seen.append(x.copy())
-        return float(np.sum(x * x)), None
-
-    x = np.array([1.0])
-    x_new, f_new, _, t = backtrack(fun, x, 1.0, 2.0 * x, np.array([-4.0]), interpolate=True)
-    assert t == 0.25 and f_new == 0.0 and np.array_equal(x_new, [0.0])
     assert len(seen) == 2
 
 
@@ -216,7 +202,7 @@ def test_backtrack_interpolation_is_safeguarded():
         steps.append(-float(x[0]))
         return next(script), None
 
-    _, f_new, _, t = backtrack(fun, np.zeros(1), 0.0, np.ones(1), -np.ones(1), interpolate=True)
+    _, f_new, _, t = backtrack(fun, np.zeros(1), 0.0, np.ones(1), -np.ones(1))
     assert steps == [1.0, 0.5, 0.05, 0.025] and t == 0.025 and f_new == -1.0
 
 
