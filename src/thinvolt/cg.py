@@ -8,22 +8,23 @@ every step to keep roundoff from drifting along the kernel. The caller
 passes the preconditioner: each assembled system carries its own
 (electro3d.PoissonSystem.precondition).
 
-A caller that certifies energies rather than residuals can also stop at
-the energy gap. PCG minimises J(x) = x.Kx/2 - b.x, and its own
-coefficients give the gap J(x_k) - J(x*) = |x_k - x*|_K^2 / 2: it is half
-the sum of alpha_j r_j.z_j over j >= k, and the GAP_DELAY newest terms
-estimate it (the delayed Hestenes-Stiefel estimate; Strakos & Tichy,
-ETNA 13, 2002).
+Every solve stops at a relative residual tol or at the energy-gap
+certificate, whichever comes first. PCG minimises J(x) = x.Kx/2 - b.x, and
+its own coefficients give the gap J(x_k) - J(x*) = |x_k - x*|_K^2 / 2: it is
+half the sum of alpha_j r_j.z_j over j >= k, and the GAP_DELAY newest terms
+estimate it (the delayed Hestenes-Stiefel estimate; Strakos & Tichy, ETNA
+13, 2002).
 """
 
+import math
 from collections import deque
 
 import numpy as np
 
-__all__ = ["GAP_DELAY", "GAP_TOL", "WEAK_FORM_TOL", "SolverError", "pcg"]
+__all__ = ["GAP_DELAY", "GAP_TOL", "WEAK_FORM_TOL", "SolverError", "dot", "pcg"]
 
 GAP_DELAY = 3  # alpha_j r_j.z_j terms in the delayed estimate of the energy gap
-GAP_TOL = 1e-14  # the gap stop's bound, relative to 1 + |J|; two orders under a 1e-12 gap gate
+GAP_TOL = 1e-14  # the gap certificate's bound, relative to 1 + |J|; two orders under a 1e-12 gap gate
 WEAK_FORM_TOL = 1e-11  # |x.r| bound, relative to 1 + |b.x|; three orders under the 1e-8 weak-form gate
 
 
@@ -38,6 +39,11 @@ class SolverError(RuntimeError):
         self.residuals = list(residuals)
 
 
+def dot(a, b, out=None):
+    """sum(a * b) in a pairwise order fixed by the length alone, unlike BLAS ddot, whose threads split long vectors; out receives a * b."""
+    return float(np.add.reduce(np.multiply(a, b, out=out)))
+
+
 def _project(v):
     # v.mean() to the bit, without ndarray.mean's Python-level wrapper
     v -= np.add.reduce(v) / v.size
@@ -45,16 +51,12 @@ def _project(v):
 
 
 def _gap_estimate(terms):
-    """The energy gap of the iterate len(terms) steps back, from its delayed alpha_j r_j.z_j terms.
-
-    The terms leave out the gap of the newest iterate, so the estimate is
-    a lower bound, sharp once the iteration converges linearly.
-    """
+    """Half the sum of the delayed alpha_j r_j.z_j terms: the gap of the iterate len(terms) steps back, less the newest one's."""
     return 0.5 * sum(terms)
 
 
 def _gap_closed(x, r, b, terms):
-    """The gap stop: the delayed gap estimate and the weak-form residual x.r both small.
+    """The energy-gap certificate: the delayed gap estimate and the weak-form residual x.r both small.
 
     The gap condition is a heuristic. The estimate is the gap of the
     iterate GAP_DELAY steps back less x's own gap, so it bounds x's gap
@@ -66,26 +68,26 @@ def _gap_closed(x, r, b, terms):
     in the error and x.r = b.x - x.Kx first order, so after a close warm
     start a small gap alone can leave the weak-form identity off.
     """
-    moment = abs(float(b @ x))
-    return _gap_estimate(terms) <= GAP_TOL * (1.0 + 0.5 * moment) and abs(float(x @ r)) <= WEAK_FORM_TOL * (1.0 + moment)
+    moment = abs(dot(b, x))
+    return _gap_estimate(terms) <= GAP_TOL * (1.0 + 0.5 * moment) and abs(dot(x, r)) <= WEAK_FORM_TOL * (1.0 + moment)
 
 
-def pcg(matvec, b, precond, tol=1e-10, max_iter=None, x0=None, gap_stop=False):
+def pcg(matvec, b, precond, tol=1e-10, max_iter=None, x0=None):
     """Solve K x = b on the zero-sum subspace; returns (x, residual_history).
 
     matvec maps flat vectors to flat vectors and precond applies an SPD
     approximation of K^{-1} to a flat residual.
-    Convergence means ||b - K x||_2 <= tol * ||b||_2 or, with gap_stop, that
-    the delayed estimate of the energy gap is at most GAP_TOL (1 + |J|),
-    |J| taken as |b.x| / 2, and |x.r| at most WEAK_FORM_TOL (1 + |b.x|),
-    whichever comes first.
+    Convergence means ||b - K x||_2 <= tol * ||b||_2 or the energy-gap
+    certificate, whichever comes first: the delayed estimate of the gap at
+    most GAP_TOL (1 + |J|), |J| taken as |b.x| / 2, and |x.r| at most
+    WEAK_FORM_TOL (1 + |b.x|). A tol below round-off ends at the certificate.
     """
     b = np.asarray(b, dtype=float).ravel().copy()
     _project(b)
     n = b.size
     if max_iter is None:
         max_iter = min(8 * n, 40000)
-    bnorm = np.linalg.norm(b)
+    bnorm = math.sqrt(dot(b, b))
     if bnorm == 0.0:
         return np.zeros(n), [0.0]
     if x0 is None:
@@ -99,20 +101,18 @@ def pcg(matvec, b, precond, tol=1e-10, max_iter=None, x0=None, gap_stop=False):
     z = precond(r)
     _project(z)
     p = z.copy()
-    rz = float(r @ z)
-    history = [np.linalg.norm(r) / bnorm]
+    rz = dot(r, z)
+    history = [math.sqrt(dot(r, r)) / bnorm]
     terms = deque(maxlen=GAP_DELAY)  # alpha_j r_j.z_j of the newest iterations
 
     def converged():
-        if history[-1] <= tol:
-            return True
-        return gap_stop and len(terms) == GAP_DELAY and _gap_closed(x, r, b, terms)
+        return history[-1] <= tol or (len(terms) == GAP_DELAY and _gap_closed(x, r, b, terms))
 
     for _ in range(max_iter):
         if converged():
             return x, history
         Ap = matvec(p)
-        pAp = float(p @ Ap)
+        pAp = dot(p, Ap)
         if pAp <= 0.0:
             raise SolverError("pcg: operator lost positive definiteness", history)
         alpha = rz / pAp
@@ -122,10 +122,10 @@ def pcg(matvec, b, precond, tol=1e-10, max_iter=None, x0=None, gap_stop=False):
         _project(r)
         z = precond(r)
         _project(z)
-        rz_new = float(r @ z)
+        rz_new = dot(r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new
-        history.append(np.linalg.norm(r) / bnorm)
+        history.append(math.sqrt(dot(r, r)) / bnorm)
     if converged():
         return x, history
     raise SolverError(

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from . import fields
-from .cg import SolverError, pcg
+from .cg import SolverError, dot, pcg
 from .material import kappa_pullback
 from .smallmat import det3
 
@@ -131,8 +131,8 @@ class PoissonSystem:
             e = scratch[: x.size - d]
             np.subtract(x[:-d], x[d:], out=e)
             np.multiply(e, e, out=e)
-            quad -= float(np.dot(s, e))
-        return quad, float(np.dot(self.b_raw.ravel(), x))
+            quad -= dot(s, e, out=e)
+        return quad, dot(self.b_raw.ravel(), x)
 
     def matvec(self, x):
         return self.apply(x.reshape(self.grid.shape)).ravel()
@@ -141,14 +141,13 @@ class PoissonSystem:
         """Jacobi: r divided by the operator diagonal; flat in, flat out."""
         return r / self.diag.ravel()
 
-    def solve(self, tol=1e-10, x0=None, gap_stop=False, telemetry=None):
+    def solve(self, tol=1e-10, x0=None, telemetry=None):
         """Projected PCG solve with the system's own preconditioner; the potential with weighted zero mean.
 
-        gap_stop also lets the solve stop at pcg's energy-gap rule. A
-        telemetry dict, when given, has the solve's PCG iterations added to
-        its "pcg_iterations".
+        A telemetry dict, when given, has the solve's PCG iterations added
+        to its "pcg_iterations".
         """
-        x, history = pcg(self.matvec, self.b, self.precondition, tol=tol, x0=x0, gap_stop=gap_stop)
+        x, history = pcg(self.matvec, self.b, self.precondition, tol=tol, x0=x0)
         if telemetry is not None:
             telemetry["pcg_iterations"] = telemetry.get("pcg_iterations", 0) + len(history) - 1
         phi = x.reshape(self.grid.shape)

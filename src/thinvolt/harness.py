@@ -330,9 +330,7 @@ def saddle_probe(F, point, n_probes=50, radius=1e-3, rng=None, sides=("phi", "y"
 def solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-10, grad_tol=1e-7, max_iters=100, rng=None, *, telemetry=None):
     """Alternate exact potential solves with metric-scaled descent in y.
 
-    Returns (y, phi, history, converged). Each potential solve stops at
-    poisson_tol or at pcg's energy-gap rule (cg.GAP_TOL, with the weak-form
-    bound cg.WEAK_FORM_TOL), whichever comes first. Each deformation step
+    Returns (y, phi, history, converged). Each deformation step
     is an optimize.backtrack search at the frozen potential from the unit
     step of an L-BFGS direction: the two-loop recursion in the x3-line
     metric of electro3d.line_metric, fed the newest curvature pair alone
@@ -368,7 +366,7 @@ def solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-10, grad_tol=1e-7
     converged = False
     phi = y_prev = g_prev = None
     for _ in range(int(max_iters)):
-        phi = system.solve(tol=poisson_tol, x0=phi, gap_stop=True, telemetry=telemetry)
+        phi = system.solve(tol=poisson_tol, x0=phi, telemetry=telemetry)
         # F_eps = M_eps - E_eps with M_eps and the assembled system
         # independent of phi: the phi-side evaluations are quadratic forms of
         # the iterate's system next to one M_eps
@@ -411,7 +409,7 @@ def solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-10, grad_tol=1e-7
         history.append((f_phi, f_y, gnorm, t, pg0, probe["phi_side"]))
     if system is None:
         system = electro3d.assemble_poisson3(y, grid, eps, mat)
-    phi = system.solve(tol=poisson_tol, x0=phi, gap_stop=True, telemetry=telemetry)
+    phi = system.solve(tol=poisson_tol, x0=phi, telemetry=telemetry)
     return y, phi, np.array(history), converged
 
 

@@ -37,6 +37,16 @@ def _write_config(path, extra=None):
     return str(path)
 
 
+def _bending_config(path, grid, solver=None):
+    # configs/bending.json on another grid, optionally with other solver keys
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "configs", "bending.json")) as fh:
+        data = json.load(fh)
+    data["grid"].update(grid)
+    data["solver"].update(solver or {})
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -819,9 +829,14 @@ def test_cli_solve3d_infeasible_start_reports_error(tmp_path, capsys, extra, rea
     assert capsys.readouterr().err == ""
 
 
-def test_cli_solve2d_failed_potential_solve_reports_error(tmp_path, capsys):
-    # a tolerance below roundoff: the potential solve loses positive definiteness
-    cfgpath = _write_config(tmp_path / "cfg.json", extra={"solver": {"poisson_tol": 1e-300, "max_iters": 3}})
+def test_cli_solve2d_failed_potential_solve_reports_error(tmp_path, capsys, monkeypatch):
+    from thinvolt import bending2d, electro3d
+
+    def failing(*args, **kwargs):
+        raise electro3d.SolverError("pcg: operator lost positive definiteness", [1.0])
+
+    monkeypatch.setattr(bending2d, "solve_potential2", failing)
+    cfgpath = _write_config(tmp_path / "cfg.json", extra={"solver": {"max_iters": 3}})
     out = tmp_path / "out"
     assert cli_main(["solve2d", "--config", cfgpath, "--out", str(out)]) == 1
     summary = json.loads((out / "summary.json").read_text())
@@ -853,6 +868,39 @@ def test_cli_sweep_failed_target_solve_reports_error(tmp_path, capsys, monkeypat
     assert capsys.readouterr().err == ""
 
 
+def test_cli_sweep_with_a_tolerance_below_roundoff_stops_at_the_gap(tmp_path, capsys):
+    # no residual reaches 1e-300, so every solve, the 2D target's included,
+    # ends at pcg's energy-gap certificate and the sweep passes
+    cfgpath = _bending_config(tmp_path / "cfg.json", {"n1": 17, "n2": 17, "n3": 5}, {"poisson_tol": 1e-300})
+    out = tmp_path / "out"
+    assert cli_main(["sweep", "--config", cfgpath, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["pass"] is True and summary["rows_ok"] == 4
+    assert (out / "sweep.csv").exists()
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_sweep_is_byte_identical_across_blas_thread_counts(tmp_path):
+    # OpenBLAS splits ddot and dnrm2 across threads above 10,000 entries;
+    # 25x25x17 has 10,625 nodes, so a BLAS reduction in the potential solve
+    # or the energies would move the CSV's last bits with the thread count
+    import thinvolt
+
+    cfgpath = _bending_config(tmp_path / "cfg.json", {"n1": 25, "n2": 25, "n3": 17})
+    src = os.path.dirname(os.path.dirname(os.path.abspath(thinvolt.__file__)))
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": threads,
+            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
+        }
+        subprocess.run([sys.executable, "-m", "thinvolt", "sweep", "--config", cfgpath, "--out", str(out)], env=env, check=True, capture_output=True)
+        written.append((out / "sweep.csv").read_bytes())
+    assert written[0] == written[1]
+
+
 def test_cli_eps_override(tmp_path):
     cfgpath = _write_config(tmp_path / "cfg.json")
     out = str(tmp_path / "out")
@@ -866,13 +914,9 @@ def test_cli_sweep_fails_far_from_the_limit(tmp_path):
     # negative control: the shipped bending config at thick eps is far from its
     # 2D limit (final mech_recovery margin about 0.51 against a 0.022
     # tolerance) although its margins shrink; the sweep must fail
-    with open(os.path.join(os.path.dirname(__file__), os.pardir, "configs", "bending.json")) as fh:
-        data = json.load(fh)
-    data["grid"].update(n1=17, n2=17, n3=9)
-    cfgpath = tmp_path / "cfg.json"
-    cfgpath.write_text(json.dumps(data))
+    cfgpath = _bending_config(tmp_path / "cfg.json", {"n1": 17, "n2": 17, "n3": 9})
     out = tmp_path / "out"
-    assert cli_main(["sweep", "--config", str(cfgpath), "--out", str(out), "--eps", "1.0,0.9,0.8"]) == 1
+    assert cli_main(["sweep", "--config", cfgpath, "--out", str(out), "--eps", "1.0,0.9,0.8"]) == 1
     summary = json.loads((out / "summary.json").read_text())
     assert summary["pass"] is False and summary["rows_ok"] == 3
     conditions = summary["conditions"]
