@@ -32,7 +32,6 @@ __all__ = [
     "W_el",
     "dW_el",
     "Q3_form",
-    "quadratic_expansion_check",
     "H_hyper",
     "dH_hyper",
     "kappa_pullback",
@@ -265,26 +264,6 @@ def dW_el(F, params):
 def Q3_form(params):
     """Quadratic expansion of W_el at the identity, Q3(H) = 2 mu |sym H|^2 + lam (tr H)^2."""
     return QuadForm3.isotropic(params.mu, params.lam)
-
-
-def quadratic_expansion_check(params, n_samples=200, scales=(1e-2, 1e-3, 1e-4), rng=None):
-    """Sampled sup of |W(I + F) - Q3(F)/2| / |F|^2 at several perturbation norms.
-
-    Returns a dict mapping each norm to the observed sup; the values should
-    decay roughly linearly with the norm.
-    """
-    rng = np.random.default_rng(0) if rng is None else rng
-    q3 = Q3_form(params)
-    out = {}
-    for s in scales:
-        worst = 0.0
-        for _ in range(n_samples):
-            F = rng.standard_normal((3, 3))
-            F *= s / np.linalg.norm(F)
-            dev = abs(W_el(_EYE3 + F, params) - 0.5 * q3(F)) / (s * s)
-            worst = max(worst, float(dev))
-        out[s] = worst
-    return out
 
 
 # ---------------------------------------------------------------------------

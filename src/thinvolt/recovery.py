@@ -200,35 +200,81 @@ def _mollifier_gradient(state, d, grid, eps, tau, q_h):
     return out
 
 
+def _stiffness_modes(grid, a):
+    """Axis a's cosine basis V (V^T diag(w_a) V = I) and the stiffness quotients kappa_k = v_k^T K_a v_k."""
+    n = grid.shape[a]
+    V = np.cos(np.pi * np.outer(np.arange(n), np.arange(n)) / (n - 1))
+    V[:, 1:-1] *= np.sqrt(2.0)
+    CV = grid.axis_ops(a)["cell"][2] @ V
+    return fields._read_only(V), fields._read_only(grid.spacing[a] * np.einsum("ck,ck->k", CV, CV))
+
+
+def _stiffness_metric(grid, alpha):
+    """u -> M^-1 u on nodal (n1,n2,n3,3) fields, M = W + alpha sum_a K_a (x) W_b (x) W_c.
+
+    K_a = (C D2)^T h_a (C D2) is the axis stiffness of scaled_hessian's
+    cell-averaged second difference. M^-1 = V diag(1 / (1 + alpha sum_a
+    kappa_a)) V^T, V = V_0 (x) V_1 (x) V_2 (Lynch, Rice & Thomas, Numer.
+    Math. 6, 1964); alpha = 0 gives W^-1. Returns a buffer the next call overwrites.
+    """
+    (V0, k0), (V1, k1), (V2, k2) = (grid._cached(("stiffness_modes", a), lambda: _stiffness_modes(grid, a)) for a in range(3))
+    n1, n2, n3 = grid.shape
+    scale = 1.0 / (1.0 + alpha * (k0[:, None, None, None] + k1[:, None, None] + k2[:, None]))
+    a, b = np.empty(grid.shape + (3,)), np.empty(grid.shape + (3,))
+
+    def apply(u):
+        np.matmul(V0.T, u.reshape(n1, -1), out=a.reshape(n1, -1))
+        np.matmul(V1.T, a.reshape(n1, n2, -1), out=b.reshape(n1, n2, -1))
+        np.matmul(V2.T, b.reshape(-1, n3, 3), out=a.reshape(-1, n3, 3))
+        np.multiply(a, scale, out=a)
+        np.matmul(V2, a.reshape(-1, n3, 3), out=b.reshape(-1, n3, 3))
+        np.matmul(V1, b.reshape(n1, n2, -1), out=a.reshape(n1, n2, -1))
+        np.matmul(V0, a.reshape(n1, -1), out=b.reshape(n1, -1))
+        return b
+
+    return apply
+
+
 def mollify_field(d, grid, eps, tau=None, q_h=4.0, iters=500, grad_tol=1e-8):
     """Minimize the smoothing objective by L-BFGS from the raw field.
 
-    The metric is the lumped trapezoid mass, the Hessian of the fidelity
-    term; the gradient and the seminorm reuse each evaluation's derivatives
-    and per-cell squared norms. Returns (smoothed field, info dict);
+    The metric is _stiffness_metric's (lumped mass plus alpha times the
+    pure second differences' stiffness), alpha = eps^tau / q_h times the
+    cell mean of |H(d)|^(q_h - 2): the Hessian penalty's prefactor with its
+    weight frozen at its mean over d, read from the first evaluation. The
+    gradient and the seminorm reuse each evaluation's derivatives and
+    per-cell squared norms. Returns (smoothed field, info dict);
     info["iters"] counts gradient evaluations and info["converged"] says
     whether the gradient norm at the returned field is at most grad_tol.
-    The penalty exponent tau defaults
-    to q_h / 2; it must stay inside (0, q_h) for the fidelity term to win
-    in the small-eps limit.
+    eps must be positive and finite, d finite, and tau (default q_h / 2)
+    inside (0, q_h) for the fidelity term to win in the small-eps limit.
     """
     if tau is None:
         tau = 0.5 * q_h
     if not 0.0 < tau < q_h:
         raise ValueError("tau must lie in (0, q_h)")
+    if not 0.0 < eps < np.inf:
+        raise ValueError("eps must be positive and finite")
     d = np.asarray(d, dtype=float)
-    if d.ndim != 4 or d.shape[-1] != 3:
-        raise ValueError("mollify_field expects a nodal (n1,n2,n3,3) field")
-    wn = grid.node_measure()
-    inv_mass = 1.0 / wn[..., None]
+    if d.ndim != 4 or d.shape[-1] != 3 or not np.all(np.isfinite(d)):
+        raise ValueError("mollify_field expects a finite nodal (n1,n2,n3,3) field")
+    metric = []
+
+    def evaluate(u):
+        f, state = _mollifier_evaluation(u, d, grid, eps, tau, q_h)
+        if not metric:
+            metric.append(_stiffness_metric(grid, eps**tau / q_h * float(np.mean(_norm_weight(state[-1], q_h)))))
+        return f, state
+
     v, (*_, h2), run = optimize.lbfgs(
-        lambda u: _mollifier_evaluation(u, d, grid, eps, tau, q_h),
+        evaluate,
         lambda state: _mollifier_gradient(state, d, grid, eps, tau, q_h),
         d,
-        lambda u: inv_mass * u,
+        lambda u: metric[0](u),
         max_iter=iters,
         grad_tol=grad_tol,
     )
+    wn = grid.node_measure()
     l2 = float(np.sqrt(np.sum(wn[..., None] * (v - d) ** 2)))
     semi = fields.integrate3(h2 ** (q_h / 2.0), grid) ** (1.0 / q_h)
     info = {
