@@ -240,8 +240,9 @@ def mollify_field(d, grid, eps, tau=None, q_h=4.0, iters=500, grad_tol=1e-8):
 
     The metric is _stiffness_metric's (lumped mass plus alpha times the
     pure second differences' stiffness), alpha = eps^tau / q_h times the
-    cell mean of |H(d)|^(q_h - 2): the Hessian penalty's prefactor with its
-    weight frozen at its mean over d, read from the first evaluation. The
+    cell mean of |H(d)|^(q_h - 2), read from the first evaluation: the
+    penalty's weight frozen at its mean over d, at 1/q_h of the frozen
+    Hessian's scale, an empirical choice sized at q_h 4 and eps 0.25. The
     gradient and the seminorm reuse each evaluation's derivatives and
     per-cell squared norms. Returns (smoothed field, info dict);
     info["iters"] counts gradient evaluations and info["converged"] says

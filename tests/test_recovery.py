@@ -229,10 +229,10 @@ def test_mollifier_converges_on_criterion_10_field():
             mode = np.outer(np.sin(k * np.pi * grid3.x1), np.sin(l * np.pi * grid3.x2))
             bump += 5e-4 * rng.uniform(-1.0, 1.0) * mode[:, :, None]
     eps, qh = 0.25, 4.0
-    for field, budget in ((d, 500), (d + bump[..., None] * np.array([0.0, 0.0, 1.0]), 120)):
+    # the stiffness metric converges on the exact field in 29 gradient calls
+    # and on the perturbed one in 91
+    for field, budget in ((d, 35), (d + bump[..., None] * np.array([0.0, 0.0, 1.0]), 120)):
         v, info = mollify_field(field, grid3, eps, q_h=qh, iters=500, grad_tol=1e-8)
-        # the stiffness metric converges on the perturbed field in 91 gradient
-        # calls; the mass metric alone needs 202
         assert info["converged"] and info["iters"] <= budget
         assert info["grad_norm"] <= 1e-8
         assert info["objective"] == mollifier_objective(v, field, grid3, eps, 0.5 * qh, qh)
