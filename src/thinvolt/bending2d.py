@@ -23,6 +23,7 @@ __all__ = [
     "solve_potential2",
     "E0",
     "F0",
+    "bending_metric_inverse",
     "saddle_iterate_2d",
     "check_virial",
     "keff_and_derivative",
@@ -227,14 +228,24 @@ def _bending_hessian(grid, rq):
     return (a / grid.h1) * (D.T @ D)
 
 
+def bending_metric_inverse(grid, rq):
+    """(H + c 11^T / n1)^-1, H the exact bending Hessian of M0 in the n1 nodal angles.
+
+    c = 1e-2 max(|diag H|, 1) fills only the constant (rigid-rotation) null
+    mode of H. grid is any grid whose first axis carries the angles.
+    """
+    H = _bending_hessian(grid, rq)
+    c = 1e-2 * max(np.abs(np.diag(H)).max(), 1.0)
+    return np.linalg.inv(H + c / grid.n1)  # adds c 11^T / n1
+
+
 def saddle_iterate_2d(theta0, grid, mat, iters=200, tol=1e-8, rq=None, solver_tol=1e-12):
     """Find a saddle point of F0 by L-BFGS on the reduced functional.
 
     f(theta) = max_phi F0(theta, phi) is F0 at the solved potential: one
     potential solve per evaluation. By Danskin's theorem its gradient is the
-    frozen-potential angle gradient at that solve. The metric is
-    (H + c 11^T / n1)^-1, H the exact bending Hessian; c fills only its
-    constant (rigid-rotation) null mode. iters caps the gradient evaluations.
+    frozen-potential angle gradient at that solve. The inverse metric is
+    bending_metric_inverse. iters caps the gradient evaluations.
 
     Returns (y0, phi, history, converged), one history row per gradient
     evaluation: (f at the iterate, f at the next iterate, gradient norm,
@@ -248,9 +259,7 @@ def saddle_iterate_2d(theta0, grid, mat, iters=200, tol=1e-8, rq=None, solver_to
         phi = solve_potential2(y0, mat, tol=solver_tol)
         return F0(y0, phi, mat, rq), (y0, phi)
 
-    H = _bending_hessian(grid, rq)
-    c = 1e-2 * max(np.abs(np.diag(H)).max(), 1.0)
-    inv_metric = np.linalg.inv(H + c / grid.n1)  # adds c 11^T / n1
+    inv_metric = bending_metric_inverse(grid, rq)
     _, (y0, phi), info = optimize.lbfgs(
         evaluate,
         lambda state: _theta_gradient(*state, mat, rq),

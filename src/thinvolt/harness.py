@@ -27,7 +27,7 @@ from .material import (
     PermittivityModel,
     PrestrainModel,
 )
-from .recovery import SWEEP_COLUMNS, RecoveryInputs, SweepRow, lift_deformation, optimal_corrector, recovery_sweep
+from .recovery import SWEEP_COLUMNS, RecoveryInputs, SweepRow, lift_deformation, optimal_corrector, recovery_sweep, two_level_metric
 from .relaxation import RelaxedQ2
 from .smallmat import QuadForm2
 
@@ -332,8 +332,10 @@ def solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-10, grad_tol=1e-7
 
     Returns (y, phi, history, converged). Each deformation step
     is an optimize.backtrack search at the frozen potential from the unit
-    step of an L-BFGS direction: the two-loop recursion in the x3-line
-    metric of electro3d.line_metric, fed the newest curvature pair alone
+    step of an L-BFGS direction: the two-loop recursion in the two-level
+    metric of recovery.two_level_metric (the x3-line metric plus the 2D
+    bending metric lifted by the Kirchhoff map at y_init's midline angles),
+    fed the newest curvature pair alone
     (the last step and the change of the gradient at solved potentials,
     kept only when their product is positive). A rejected finite trial
     moves the step to the safeguarded quadratic-interpolation guess. A
@@ -348,7 +350,6 @@ def solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-10, grad_tol=1e-7
     """
     if rng is None:
         rng = NormalSampler(0)
-    inv_metric = electro3d.line_metric(grid, eps)
 
     def evaluate(c):
         # the one evaluation of a point: the start, or a trial whose accepted state is the next iterate's
@@ -362,6 +363,7 @@ def solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-10, grad_tol=1e-7
     y, m_y, system = evaluate(y_init)
     if system is None:
         raise ValueError("solve3d_alternating: infeasible initial deformation")
+    inv_metric = two_level_metric(y, grid, eps, RelaxedQ2.of(mat))
     history = []
     converged = False
     phi = y_prev = g_prev = None

@@ -21,6 +21,9 @@ __all__ = [
     "RecoveryInputs",
     "optimal_corrector",
     "lift_deformation",
+    "kirchhoff_jacobian",
+    "midline_angles",
+    "two_level_metric",
     "lift_potential",
     "out_of_plane_profile",
     "mollify_field",
@@ -140,6 +143,88 @@ def lift_deformation(y0, eps, grid, g_matrix=None, d=None):
     if d is not None:
         y += eps * eps * _cumulative_from_zero(np.asarray(d, dtype=float), grid)
     return fields.zero_mean_project(y, grid)
+
+
+def _sinc_and_slope(x):
+    """sin(x)/x and its derivative (x cos x - sin x)/x^2, by their Taylor series where |x| < 1e-2."""
+    small = np.abs(x) < 1e-2
+    safe = np.where(small, 1.0, x)
+    x2 = x * x
+    sinc = np.where(small, 1.0 - x2 / 6.0 + x2 * x2 / 120.0, np.sin(safe) / safe)
+    slope = np.where(small, x * (-1.0 / 3.0 + x2 / 30.0 - x2 * x2 / 840.0), (safe * np.cos(safe) - np.sin(safe)) / (safe * safe))
+    return sinc, slope
+
+
+def kirchhoff_jacobian(theta, eps, grid):
+    """Derivative of the Kirchhoff lift y0(theta) + eps x3 nu(theta) in the nodal angles.
+
+    Row i is the nodal field d/dtheta_i of lift_deformation's first two
+    terms (no g-transport, no corrector), gauged to weighted zero mean. It
+    does not depend on x2, so it is stored once per (x1, x3) node: the
+    result has shape (n1, n1 * n3 * 3), its columns in (x1, x3, component)
+    order. Each cell integral of (cos theta, -sin theta) is
+    (cos m, -sin m) sinc(d/2) for the cell's mean angle m and increment d.
+    """
+    theta = np.asarray(theta, dtype=float)
+    n1, n3 = grid.n1, grid.n3
+    m, half = 0.5 * (theta[:-1] + theta[1:]), 0.5 * np.diff(theta)
+    sinc, slope = _sinc_and_slope(half)
+    cos_m, sin_m = np.cos(m), np.sin(m)
+    # d/dtheta_left and d/dtheta_right of the cell integrals c = cos m sinc and s = sin m sinc,
+    # summed along x1 into y1 = h1 cumsum(c) and y3 = -h1 cumsum(s)
+    dc_left, dc_right = -0.5 * (sin_m * sinc + cos_m * slope), -0.5 * (sin_m * sinc - cos_m * slope)
+    ds_left, ds_right = 0.5 * (cos_m * sinc - sin_m * slope), 0.5 * (cos_m * sinc + sin_m * slope)
+    cells = np.arange(n1 - 1)
+    D = np.zeros((n1, n1, n3, 3))  # (angle, x1 node, x3 node, component)
+    for k, h, left, right in ((0, grid.h1, dc_left, dc_right), (2, -grid.h1, ds_left, ds_right)):
+        per_cell = np.zeros((n1 - 1, n1))  # (cell, angle)
+        per_cell[cells, cells], per_cell[cells, cells + 1] = h * left, h * right
+        D[:, 1:, :, k] = np.cumsum(per_cell, axis=0).T[:, :, None]
+    nodes = np.arange(n1)
+    D[nodes, nodes, :, 0] += eps * grid.x3[None, :] * np.cos(theta)[:, None]
+    D[nodes, nodes, :, 2] -= eps * grid.x3[None, :] * np.sin(theta)[:, None]
+    D -= np.einsum("iklc,k,l->ic", D, grid.w1, grid.w3)[:, None, None, :]
+    return D.reshape(n1, -1)
+
+
+def midline_angles(y, grid):
+    """Nodal angles of a nodal deformation's midline, for kirchhoff_jacobian.
+
+    The deformation averaged over the x2 and x3 nodes gives each cell's
+    tangent angle atan2(-dy3, dy1); nodes take the mean of their two cells,
+    and the end nodes extrapolate linearly. A flat deformation gives zeros.
+    """
+    ybar = np.asarray(y, dtype=float).mean(axis=(1, 2))
+    cell = np.arctan2(-np.diff(ybar[:, 2]), np.diff(ybar[:, 0]))
+    theta = np.empty(grid.n1)
+    theta[1:-1] = 0.5 * (cell[:-1] + cell[1:])
+    theta[0] = 1.5 * cell[0] - 0.5 * cell[1]
+    theta[-1] = 1.5 * cell[-1] - 0.5 * cell[-2]
+    return theta
+
+
+def two_level_metric(y, grid, eps, rq):
+    """v -> M^-1 v = P_line^-1 v + J^T A^-1 J v on nodal (n1, n2, n3, 3) fields.
+
+    P_line is electro3d.line_metric, which carries the 1/eps^2 stiffness
+    across the thickness; the coarse term (Nicolaides, SIAM J. Numer. Anal.
+    24, 1987) adds the bending stiffness of the 2D limit. J is
+    kirchhoff_jacobian at the midline angles of y and A^-1 is
+    bending2d.bending_metric_inverse. J v sums v over x2 first and J^T
+    broadcasts along x2; the coarse products are matrix-vector products, so
+    their summation order does not depend on the BLAS thread count.
+    """
+    line = electro3d.line_metric(grid, eps)
+    J = kirchhoff_jacobian(midline_angles(y, grid), eps, grid)
+    A_inv = bending2d.bending_metric_inverse(grid, rq)
+    coarse_shape = (grid.n1, 1, grid.n3, 3)
+
+    def inv_metric(v):
+        out = line(v)
+        out += (J.T @ (A_inv @ (J @ v.sum(axis=1).reshape(-1)))).reshape(coarse_shape)
+        return out
+
+    return inv_metric
 
 
 def out_of_plane_profile(y0, phi0, mat):

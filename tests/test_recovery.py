@@ -352,6 +352,73 @@ def test_stiffness_metric_is_the_inverse_mass_at_zero_and_symmetric_positive():
         assert np.vdot(u, apply(u)) > 0.0 and np.vdot(v, apply(v)) > 0.0
 
 
+def _bent_profile(n1):
+    x = np.linspace(0.0, 1.0, n1)
+    return 0.5 * np.cos(np.pi * x) + 0.3 * x * x
+
+
+@pytest.mark.parametrize(
+    "theta",
+    [
+        _bent_profile(6),
+        # half-increments on either side of the series switch at 1e-2
+        0.3 + np.cumsum([0.0, 2e-2 - 1e-9, 2e-2 + 1e-9, 1e-3, 0.2]),
+    ],
+)
+def test_kirchhoff_jacobian_matches_central_differences_of_the_lift(theta):
+    from thinvolt.recovery import kirchhoff_jacobian
+
+    n1 = theta.size
+    grid3, eps = Grid3(n1, 5, 5), 0.25
+    grid2 = Grid2(n1, 5)
+    J = kirchhoff_jacobian(theta, eps, grid3)
+    assert J.shape == (n1, n1 * 5 * 3)
+    h = 1e-6
+    for i in range(n1):
+        step = h * np.eye(n1)[i]
+        plus = lift_deformation(CylindricalIsometry(grid2, theta + step), eps, grid3)
+        minus = lift_deformation(CylindricalIsometry(grid2, theta - step), eps, grid3)
+        fd = (plus - minus) / (2.0 * h)
+        row = np.broadcast_to(J[i].reshape(n1, 1, 5, 3), fd.shape)  # the same at every x2
+        assert np.max(np.abs(row - fd)) <= 1e-6 * np.max(np.abs(fd))
+    # the rows are gauged: weighted zero mean per component
+    assert np.max(np.abs(np.einsum("iklc,k,l->ic", J.reshape(n1, n1, 5, 3), grid3.w1, grid3.w3))) < 1e-14
+
+
+def test_midline_angles_recover_the_lifted_profile():
+    from thinvolt.elastic3d import flat_deformation
+    from thinvolt.recovery import midline_angles
+
+    grid3, eps = Grid3(33, 5, 5), 0.25
+    theta = _bent_profile(33)
+    y = lift_deformation(CylindricalIsometry(Grid2(33, 5), theta), eps, grid3)
+    # each cell's chord angle is its mean angle to second order in h1
+    assert np.max(np.abs(midline_angles(y, grid3) - theta)) < 5e-3
+    assert np.array_equal(midline_angles(flat_deformation(grid3, eps), grid3), np.zeros(33))
+
+
+def test_two_level_metric_is_the_line_metric_plus_the_lifted_bending_metric():
+    from thinvolt.bending2d import bending_metric_inverse
+    from thinvolt.electro3d import line_metric
+    from thinvolt.recovery import kirchhoff_jacobian, midline_angles, two_level_metric
+
+    grid3, eps = Grid3(6, 5, 5), 0.25
+    rq = _rq(Material())
+    y = lift_deformation(CylindricalIsometry(Grid2(6, 5), _bent_profile(6)), eps, grid3)
+    n = y.size
+    unit = np.eye(n).reshape((n,) + y.shape)
+    metric, line = two_level_metric(y, grid3, eps, rq), line_metric(grid3, eps)
+    M_inv = np.stack([metric(e).reshape(-1) for e in unit], axis=1)
+    P_inv = np.stack([line(e).reshape(-1) for e in unit], axis=1)
+    # J on the full nodal field: each (x1, x3) column repeated along x2
+    J = kirchhoff_jacobian(midline_angles(y, grid3), eps, grid3).reshape(6, 6, 1, 5, 3)
+    J = np.broadcast_to(J, (6,) + y.shape).reshape(6, n)
+    expected = P_inv + J.T @ bending_metric_inverse(grid3, rq) @ J
+    assert np.max(np.abs(M_inv - expected)) <= 1e-12 * np.max(np.abs(expected))
+    assert np.max(np.abs(M_inv - M_inv.T)) <= 1e-12 * np.max(np.abs(M_inv))
+    assert np.linalg.eigvalsh(0.5 * (M_inv + M_inv.T)).min() > 0.0
+
+
 def test_sweep_columns_are_pinned():
     assert SWEEP_COLUMNS == [
         "eps",
