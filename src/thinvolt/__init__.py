@@ -20,7 +20,7 @@ from .material import (
     PermittivityModel,
     PrestrainModel,
 )
-from .recovery import RecoveryInputs, lift_deformation, lift_potential, mollify_field, optimal_corrector, recovery_sweep
+from .recovery import RecoveryInputs, lift_deformation, mollify_field, optimal_corrector, recovery_sweep
 from .relaxation import RelaxedQ2, effective_permittivity, m_out_of_plane, relax_over_z
 
 __version__ = "0.1.0"
@@ -59,7 +59,6 @@ __all__ = [
     "RecoveryInputs",
     "optimal_corrector",
     "lift_deformation",
-    "lift_potential",
     "mollify_field",
     "recovery_sweep",
     "ConfigError",

@@ -122,8 +122,6 @@ def grad_M_eps(y, grid, eps, mat):
     scale = grid.cell_volume / (eps * eps)
     g = None
     for w, z, arg, Minv, detM in _gauss_points(y, grid, eps, mat):
-        if np.min(det3(arg)) <= 0.0:
-            raise ValueError("grad_M_eps: energy is infinite at this deformation")
         S = _layer_matmul(dW_el(arg, mat.elastic), np.ascontiguousarray(np.swapaxes(Minv, -1, -2)))
         S *= (detM * w * scale)[:, None, None]
         piece = fields.gradient_scatter(S, grid, eps, point=(0.5, 0.5, z))

@@ -164,10 +164,9 @@ class RunConfig:
 
         self.out_dir = _section(data, "output").get("dir", "out")
 
-        mode = data.get("mode")
-        if mode is not None and mode not in _MODES:
+        # the subcommand decides what runs; a top-level 'mode' is validated and not stored
+        if data.get("mode") not in (None, *_MODES):
             raise ConfigError(f"'mode' must be one of {_MODES}")
-        self.mode = mode
         seed = data.get("seed", 0)
         if _parse(seed, "number", "seed") < 0 or int(seed) != seed:
             raise ConfigError("'seed' must be a nonnegative integer")

@@ -1,11 +1,11 @@
-"""Recovery constructions: lift a 2D bending state to a 3D trial pair.
+"""Recovery constructions: lift a 2D bending state to a 3D trial deformation.
 
-Given a cylindrical midsurface, a prestrain model and an in-plane vector
-potential, the module assembles the thickness corrector that makes the
-quadratic elastic energy of the lifted deformation reproduce the relaxed
-bending density, lifts the reduced potential with its optimal out-of-plane
-slope, and measures convergence of the scaled 3D energies toward the 2D
-targets along a decreasing thickness sweep.
+Given a cylindrical midsurface, a prestrain model and an in-plane field g,
+the module assembles the thickness corrector that makes the quadratic
+elastic energy of the lifted deformation reproduce the relaxed bending
+density, and measures convergence of the scaled 3D energies, with the
+potential solved on each lifted slab, toward the 2D targets along a
+decreasing thickness sweep.
 """
 
 import dataclasses
@@ -15,7 +15,7 @@ import numpy as np
 
 from . import bending2d, elastic3d, electro3d, fields, optimize
 from .bending2d import CylindricalIsometry
-from .relaxation import RelaxedQ2, effective_permittivity, m_out_of_plane
+from .relaxation import RelaxedQ2
 
 __all__ = [
     "RecoveryInputs",
@@ -24,8 +24,6 @@ __all__ = [
     "kirchhoff_jacobian",
     "midline_angles",
     "two_level_metric",
-    "lift_potential",
-    "out_of_plane_profile",
     "mollify_field",
     "mollifier_objective",
     "recovery_sweep",
@@ -225,32 +223,6 @@ def two_level_metric(y, grid, eps, rq):
         return out
 
     return inv_metric
-
-
-def out_of_plane_profile(y0, phi0, mat):
-    """Optimal out-of-plane potential slope m(x') on the midsurface nodes.
-
-    Uses nodal central differences for grad'phi0 (one-sided at the edges)
-    and the bending-frame reduced permittivity blocks at the nodal angles.
-    """
-    grid = y0.grid
-    d1 = grid.axis_ops(0)["D1"]
-    d2 = grid.axis_ops(1)["D1"]
-    phi0 = np.asarray(phi0, dtype=float)
-    grad = np.stack([d1 @ phi0, phi0 @ d2.T], axis=-1)  # (n1, n2, 2)
-    R = CylindricalIsometry.frame_of(y0.theta)
-    (kb, kv, kz), _ = effective_permittivity(mat.permittivity.kbar(), R)
-    return m_out_of_plane((kb[:, None], kv[:, None, :], kz[:, None]), grad)
-
-
-def lift_potential(phi0, m, eps, grid):
-    """Thickness lift phi0(x') + eps m(x') x3 on the 3D nodes, zero-mean gauged."""
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    phi0 = np.asarray(phi0, dtype=float)
-    m = np.asarray(m, dtype=float)
-    phi = phi0[:, :, None] + eps * m[:, :, None] * grid.x3[None, None, :]
-    return fields.zero_mean_project(phi, grid)
 
 
 def _mollifier_evaluation(v, d, grid, eps, tau, q_h):

@@ -55,7 +55,6 @@ class RelaxedQ2:
     """
 
     def __init__(self, q3, prestrain=None):
-        self.prestrain = prestrain
         pre = PrestrainModel() if prestrain is None else prestrain
         self._b0, self._b1 = sym_part(pre.B0[:2, :2]), pre.B1[:2, :2]
         A = q3.A
@@ -81,15 +80,8 @@ class RelaxedQ2:
         v = X.reshape(X.shape[:-2] + (4,))
         return np.einsum("za,...a->...z", self._zmap, v)
 
-    def q2_eval(self, X, t=0.0):
-        """Relaxed in-plane quadratic form. The thickness coordinate must lie in [-1/2, 1/2].
-
-        The underlying 3x3 form carries no thickness dependence here, so the
-        value does not depend on t; the argument is validated for interface
-        parity with thickness-resolved densities.
-        """
-        if np.any(np.abs(t) > 0.5 + 1e-14):
-            raise ValueError("q2_eval: |t| must not exceed 1/2")
+    def q2_eval(self, X):
+        """Relaxed in-plane quadratic form (batched)."""
         return self.q2(X)
 
     # -- thickness average -------------------------------------------------

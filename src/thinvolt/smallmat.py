@@ -138,24 +138,12 @@ def _polar_entry_first(X):
 
 
 def dist_SO3_sq(F):
-    """Squared Frobenius distance of F to the rotation group (batched).
+    """Squared Frobenius distance |F - nearest_rotation(F)|^2 of F to the rotation group, for det F > 0 (batched).
 
-    For det F > 0 this is |F - nearest_rotation(F)|^2. Otherwise it falls
-    back to sum_i (sigma_i - 1)^2 with sigma_i the singular values, obtained
-    from the eigenvalues of F^T F, so the value is finite for every F.
+    Raises ValueError, through nearest_rotation, where det F <= 0.
     """
     F = _check_square(F, 3, "F")
-    batch = F.reshape(-1, 3, 3)
-    out = np.empty(len(batch))
-    pos = det3(batch) > 0.0
-    if np.any(pos):
-        Fp = batch[pos]
-        out[pos] = np.sum((Fp - nearest_rotation(Fp)) ** 2, axis=(-2, -1))
-    if not np.all(pos):
-        Fn = batch[~pos]
-        sig = np.sqrt(np.clip(np.linalg.eigvalsh(np.swapaxes(Fn, -1, -2) @ Fn), 0.0, None))
-        out[~pos] = np.sum((sig - 1.0) ** 2, axis=-1)
-    out = out.reshape(F.shape[:-2])
+    out = np.sum((F - nearest_rotation(F)) ** 2, axis=(-2, -1))
     return out if F.ndim > 2 else float(out)
 
 

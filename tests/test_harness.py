@@ -59,7 +59,7 @@ def test_config_defaults():
     assert cfg.material.hyper.alpha_h == 10.5
     assert np.max(np.abs(cfg.material.permittivity.k - np.diag([1.0, 1.0, 4.0]))) == 0.0
     assert cfg.material.charge.mode == "cosine"
-    assert cfg.mode is None and cfg.seed == 0
+    assert cfg.seed == 0
     assert cfg.isometry["kind"] == "linear"
     grid = cfg.grid3()
     assert grid.shape == (17, 17, 9)

@@ -5,26 +5,19 @@ import numpy as np
 import pytest
 
 from thinvolt import fields
-from thinvolt.bending2d import CylindricalIsometry, solve_potential2
+from thinvolt.bending2d import CylindricalIsometry
 from thinvolt.elastic3d import M_eps, flat_deformation
 from thinvolt.electro3d import E_eps, assemble_poisson3, check_pg0, solve_potential3
 from thinvolt.fields import Grid2, Grid3
-from thinvolt.material import (
-    ChargeModel,
-    Material,
-    PermittivityModel,
-    PrestrainModel,
-)
+from thinvolt.material import Material, PrestrainModel
 from thinvolt.recovery import (
     SWEEP_COLUMNS,
     RecoveryInputs,
     SweepRow,
     lift_deformation,
-    lift_potential,
     mollifier_objective,
     mollify_field,
     optimal_corrector,
-    out_of_plane_profile,
     recovery_sweep,
 )
 from thinvolt.relaxation import RelaxedQ2
@@ -153,39 +146,6 @@ def test_lift_validation():
         lift_deformation(y0, 0.0, Grid3(7, 5, 5))
     with pytest.raises(ValueError):
         lift_deformation(y0, 0.5, Grid3(9, 5, 5))
-
-
-def test_out_of_plane_profile_closed_form():
-    # constant tilt, anisotropic k: m = 3 sin cos / (sin^2 + 4 cos^2) * d phi0 / dx1
-    k = np.diag([1.0, 1.0, 4.0])
-    mat = Material(permittivity=PermittivityModel(k=k))
-    grid2 = Grid2(9, 7)
-    th = 0.7
-    y0 = CylindricalIsometry(grid2, np.full(grid2.n1, th))
-    slope = 1.3
-    phi0 = slope * grid2.x1[:, None] * np.ones((1, grid2.n2))
-    m = out_of_plane_profile(y0, phi0, mat)
-    s, c = np.sin(th), np.cos(th)
-    want = 3.0 * s * c * slope / (s * s + 4.0 * c * c)
-    assert np.max(np.abs(m - want)) < 1e-12
-    # straight frame decouples the out-of-plane component entirely
-    y0f = CylindricalIsometry(grid2, np.zeros(grid2.n1))
-    assert np.max(np.abs(out_of_plane_profile(y0f, phi0, mat))) < 1e-14
-
-
-def test_lift_potential_formula():
-    grid3 = Grid3(7, 5, 5)
-    rng = np.random.default_rng(5)
-    phi0 = rng.standard_normal((7, 5))
-    m = rng.standard_normal((7, 5))
-    eps = 0.25
-    phi = lift_potential(phi0, m, eps, grid3)
-    want = phi0[:, :, None] + eps * m[:, :, None] * grid3.x3[None, None, :]
-    want = want - fields.node_mean(want, grid3)
-    assert np.max(np.abs(phi - want)) < 1e-14
-    assert abs(fields.node_mean(phi, grid3)) < 1e-14
-    with pytest.raises(ValueError):
-        lift_potential(phi0, m, -1.0, grid3)
 
 
 def test_mollifier_zero_and_smooth_fields():

@@ -78,8 +78,6 @@ def test_q2_eval_matches_closed_form():
         assert abs(rq.q2_eval(X) - _q2_closed_form(X, p.mu, p.lam)) < 1e-10
     skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
     assert abs(rq.q2_eval(skew)) < 1e-12
-    with pytest.raises(ValueError):
-        rq.q2_eval(np.eye(2), t=0.6)
 
 
 def test_minimizer_z_matches_pointwise_relaxation():
@@ -188,7 +186,6 @@ def test_relaxed_form_of_material():
     mat = Material(elastic=ElasticParams(mu=1.3, lam=0.7), prestrain=PrestrainModel(B1=np.diag([0.3, 0.0, 0.1])))
     rq = RelaxedQ2.of(mat)
     ref = RelaxedQ2(Q3_form(mat.elastic), mat.prestrain)
-    assert rq.prestrain is mat.prestrain
     assert np.array_equal(rq.q2.A, ref.q2.A)
     for got, want in zip(rq.qbar2_coefficients(), ref.qbar2_coefficients()):
         assert np.array_equal(got, want)

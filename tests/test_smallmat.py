@@ -151,43 +151,44 @@ def test_polar_loop_on_entry_first_rows_equals_the_matrix_first_loop_to_the_bit(
     assert np.array_equal(F1, F[0])
 
 
+def _oriented_samples(seed, shape):
+    """Gaussian 3x3 matrices of the given batch shape, each with its first row negated where det < 0."""
+    F = np.random.default_rng(seed).standard_normal(shape + (3, 3))
+    F[..., 0, :] *= np.sign(det3(F))[..., None]
+    assert np.all(det3(F) > 0.0)
+    return F
+
+
 def test_dist_SO3_sq_does_not_depend_on_the_batch():
-    # each matrix stops its own Newton iteration: a mixed batch (det of both
-    # signs) gives every entry its scalar value bit for bit
+    # each matrix stops its own Newton iteration: every entry of a (4, 5)
+    # batch equals its scalar call bit for bit
     for seed in range(20):
-        F = np.random.default_rng(seed).standard_normal((4, 5, 3, 3))
+        F = _oriented_samples(seed, (4, 5))
         d = dist_SO3_sq(F)
-        assert np.any(det3(F) > 0.0) and np.any(det3(F) < 0.0)
+        assert d.shape == (4, 5)
         for idx in np.ndindex(F.shape[:2]):
-            assert d[idx] == dist_SO3_sq(F[idx])
+            single = dist_SO3_sq(F[idx])
+            assert type(single) is float
+            assert d[idx] == single
 
 
 def test_dist_SO3_sq_oracle():
-    # sum_i (sigma_i - 1)^2 against numpy SVD; the same formula is the
-    # documented fallback for det <= 0 (orientation ignored there)
-    rng = np.random.default_rng(8)
-    for _ in range(100):
-        F = rng.standard_normal((3, 3))
+    # for det F > 0 the nearest rotation is U V^T, so the distance is
+    # sum_i (sigma_i - 1)^2 with the singular values from numpy's SVD
+    for F in _oriented_samples(8, (100,)):
         sv = np.linalg.svd(F, compute_uv=False)
         ref = float(np.sum((sv - 1.0) ** 2))
         assert abs(dist_SO3_sq(F) - ref) <= 1e-9 * max(1.0, ref)
 
 
-def test_dist_SO3_sq_batch_mixes_both_branches():
-    # a (4, 5) batch with det > 0 and det <= 0 entries: each branch's entries
-    # equal that branch's own batched call, and each entry its scalar call,
-    # bit for bit (the polar Newton loop stops each matrix on its own)
-    F = np.random.default_rng(10).standard_normal((4, 5, 3, 3))
-    pos = det3(F) > 0.0
-    assert 0 < np.count_nonzero(pos) < pos.size
-    d = dist_SO3_sq(F)
-    assert d.shape == (4, 5)
-    assert np.array_equal(d[pos], dist_SO3_sq(F[pos]))
-    assert np.array_equal(d[~pos], dist_SO3_sq(F[~pos]))
-    for idx in np.ndindex(4, 5):
-        single = dist_SO3_sq(F[idx])
-        assert type(single) is float
-        assert d[idx] == single
+def test_dist_SO3_sq_rejects_lost_orientation():
+    # one matrix with det <= 0 anywhere in the batch raises, as nearest_rotation does
+    F = _oriented_samples(10, (4, 5))
+    F[2, 3, 0] *= -1.0
+    with pytest.raises(ValueError, match="det F must be positive"):
+        dist_SO3_sq(F)
+    with pytest.raises(ValueError, match="det F must be positive"):
+        dist_SO3_sq(np.diag([1.0, 1.0, 0.0]))
 
 
 def test_dist_SO3_sq_zero_on_rotations():
