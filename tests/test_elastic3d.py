@@ -16,7 +16,7 @@ from thinvolt.elastic3d import (
 from thinvolt.electro3d import assemble_poisson3, solve_potential3
 from thinvolt.fields import Grid3
 from thinvolt.material import Material, PrestrainModel, Q3_form, dH_hyper, dW_el, maxwell_stress_moment
-from thinvolt.smallmat import random_rotation
+from thinvolt.smallmat import det3, random_rotation
 
 _B1 = np.array([[0.4, 0.1, 0.0], [0.1, -0.2, 0.0], [0.0, 0.0, 0.0]])
 
@@ -251,6 +251,20 @@ def test_prestrain_layer_product_is_the_broadcast_stacked_product():
     B = rng.standard_normal((grid.cshape[2], 3, 3))
     want = A @ np.swapaxes(B, -1, -2)[None, None]
     assert np.array_equal(elastic3d._layer_matmul(A.copy(), np.ascontiguousarray(np.swapaxes(B, -1, -2))), want)
+
+
+def test_grad_M_eps_raises_on_one_inverted_cell_region():
+    # one node pushed through the layer above it inverts 4 of the 48 cells and
+    # leaves the rest oriented: the energy is +inf and the gradient raises
+    grid = Grid3(5, 5, 4)
+    eps = 0.5
+    y = flat_deformation(grid, eps)
+    y[2, 2, 1, 2] = 2.0 * eps
+    det = det3(fields.scaled_gradient(y, grid, eps))
+    assert np.count_nonzero(det <= 0.0) == 4 and det.size == 48
+    assert M_eps(y, grid, eps, Material()) == np.inf
+    with pytest.raises(ValueError, match="det F must be positive"):
+        grad_M_eps(y, grid, eps, Material())
 
 
 def test_squashed_but_oriented_deformation_has_infinite_energy_without_warning():

@@ -108,6 +108,16 @@ def test_config_rejections(data):
         RunConfig(data)
 
 
+def test_config_accepts_the_top_level_mode_without_storing_it():
+    # the subcommand decides what runs: a valid 'mode' changes nothing in the config
+    plain = RunConfig({"seed": 3})
+    for mode in (None, "sweep", "solve3d", "solve2d", "relax", "check"):
+        cfg = RunConfig({"mode": mode, "seed": 3})
+        assert not hasattr(cfg, "mode")
+        assert vars(cfg).keys() == vars(plain).keys()
+        assert cfg.seed == 3 and cfg.eps_list == plain.eps_list
+
+
 def test_config_material_ranges_are_the_dataclass_ranges(tmp_path):
     # lam = 0 is admissible for ElasticParams (gamma_d = 0), so the config accepts it
     assert RunConfig({"elastic": {"lam": 0}}).material.elastic.lam == 0.0
