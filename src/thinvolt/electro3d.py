@@ -209,12 +209,17 @@ def line_metric(grid, eps):
     of PoissonSystem3 at this grid and eps, its diagonal shifted by
     METRIC_SHIFT times its mean: the shift takes the constants, the
     Laplacian's kernel, out of the metric's, and the x3 blocks carry the
-    1/eps^2 stiffness across the thickness. Only the Thomas factors are kept.
+    1/eps^2 stiffness across the thickness. Only the Thomas factors are
+    kept, cached per grid and eps.
     """
-    coef = np.broadcast_to(np.eye(3), grid.cshape + (3, 3))
-    system = PoissonSystem3(grid, coef, np.zeros(grid.shape), eps)
-    system.diag += METRIC_SHIFT * system.diag.mean()
-    factors = [f[..., None] for f in system._line_factors]
+
+    def build_factors():
+        coef = np.broadcast_to(np.eye(3), grid.cshape + (3, 3))
+        system = PoissonSystem3(grid, coef, np.zeros(grid.shape), eps)
+        system.diag += METRIC_SHIFT * system.diag.mean()
+        return tuple(fields._read_only(f[..., None]) for f in system._line_factors)
+
+    factors = grid._cached(("line_metric", eps), build_factors)
 
     def inv_metric(v):
         z = np.moveaxis(np.reshape(v, (-1, grid.n3, v.shape[-1])), 1, 0).copy()

@@ -13,6 +13,7 @@ import math
 import os
 import random
 import sys
+from collections import deque
 
 import numpy as np
 
@@ -333,22 +334,26 @@ def solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-10, grad_tol=1e-7
     is an optimize.backtrack search at the frozen potential from the unit
     step of an L-BFGS direction: the two-loop recursion in the two-level
     metric of recovery.two_level_metric (the x3-line metric plus the 2D
-    bending metric lifted by the Kirchhoff map at y_init's midline angles),
-    fed the newest curvature pair alone
-    (the last step and the change of the gradient at solved potentials,
-    kept only when their product is positive). A rejected finite trial
-    moves the step to the safeguarded quadratic-interpolation guess. A
-    search that fails with the pair is retried once along -M^-1 g without
-    it. Each history row records the energy after the potential step and
-    after the deformation step, the gradient norm, the accepted Armijo step
-    (0 when the search failed), the weak-form residual of the solve, and
-    the phi-side saddle probe (8 probes of radius 1e-3) at the fresh
-    potential. telemetry is the run-statistics channel: a dict, when given,
-    that every potential solve adds its PCG iterations to, under
-    "pcg_iterations"; later run counters belong there too.
+    bending metric lifted by the Kirchhoff map), rebuilt at each iterate's
+    midline angles, over up to optimize.MEMORY curvature pairs (each step
+    and the change of the gradient at solved potentials, kept by
+    optimize.remember_pair only when their product is positive). A
+    rejected finite trial moves the step to the safeguarded
+    quadratic-interpolation guess. A search that fails with pairs stored is
+    retried once along -M^-1 g with the pairs dropped. Each history row
+    records the energy after the potential step and after the deformation
+    step, the gradient norm, the accepted Armijo step (0 when the search
+    failed), the weak-form residual of the solve, and the phi-side saddle
+    probe (8 probes of radius 1e-3) at the fresh potential. telemetry is
+    the run-statistics channel: a dict, when given, that every potential
+    solve adds its PCG iterations to, under "pcg_iterations", and every
+    line-search trial one evaluation to, under "line_search_evaluations".
     """
     if rng is None:
         rng = NormalSampler(0)
+    if telemetry is None:
+        telemetry = {}
+    telemetry.setdefault("line_search_evaluations", 0)
 
     def evaluate(c):
         # the one evaluation of a point: the start, or a trial whose accepted state is the next iterate's
@@ -362,7 +367,8 @@ def solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-10, grad_tol=1e-7
     y, m_y, system = evaluate(y_init)
     if system is None:
         raise ValueError("solve3d_alternating: infeasible initial deformation")
-    inv_metric = two_level_metric(y, grid, eps, RelaxedQ2.of(mat))
+    rq = RelaxedQ2.of(mat)
+    pairs = deque(maxlen=optimize.MEMORY)
     history = []
     converged = False
     phi = y_prev = g_prev = None
@@ -388,20 +394,17 @@ def solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-10, grad_tol=1e-7
             history.append((f_phi, f_phi, gnorm, 0.0, pg0, probe["phi_side"]))
             converged = True
             break
-        pairs = []
         if y_prev is not None:
-            s, dg = y - y_prev, g - g_prev
-            sy = float(np.vdot(s, dg))
-            if sy > 0.0:
-                pairs.append((s, dg, 1.0 / sy))
-        y_prev = g_prev = None  # the pair holds what the direction needs
+            optimize.remember_pair(pairs, y - y_prev, g - g_prev)
+        y_prev = g_prev = None  # the pairs hold what the directions need
 
         def trial(c):
+            telemetry["line_search_evaluations"] += 1
             c, m, system = evaluate(c)
             f = m - electro3d.electrostatic_energy(*system.energy_parts(phi)) if system is not None else np.inf
             return f, (c, m, system)
 
-        found = optimize.lbfgs_search(trial, y, f_phi, g, pairs, inv_metric)
+        found = optimize.lbfgs_search(trial, y, f_phi, g, pairs, two_level_metric(y, grid, eps, rq))
         if found is None:
             history.append((f_phi, f_phi, gnorm, 0.0, pg0, probe["phi_side"]))
             break
@@ -529,6 +532,7 @@ def _cmd_solve3d(cfg, out_dir):
         "worst_pg0": worst_pg0,
         "worst_phi_probe": worst_probe,
         "pcg_iterations": telemetry["pcg_iterations"],
+        "line_search_evaluations": telemetry["line_search_evaluations"],
         "pass": bool(finite and worst_probe <= 1e-8 and worst_pg0 <= 1e-8),
     }
     _write_json(os.path.join(out_dir, "summary.json"), summary)

@@ -14,7 +14,7 @@ from collections import deque
 
 import numpy as np
 
-__all__ = ["MEMORY", "MAX_BACKTRACKS", "backtrack", "lbfgs", "lbfgs_search"]
+__all__ = ["MEMORY", "MAX_BACKTRACKS", "backtrack", "lbfgs", "lbfgs_search", "remember_pair"]
 
 MEMORY = 10  # curvature pairs kept
 ARMIJO = 1e-4  # sufficient-decrease constant
@@ -62,6 +62,13 @@ def backtrack(fun, x, f, g, p):
         else:
             t *= 0.5
     return None
+
+
+def remember_pair(pairs, s, y):
+    """Append the curvature pair (s, y, 1/s.y) to pairs when s.y > 0; pairs is a deque(maxlen=MEMORY)."""
+    sy = float(np.vdot(s, y))
+    if sy > 0.0:
+        pairs.append((s, y, 1.0 / sy))
 
 
 def lbfgs_search(fun, x, f, g, pairs, inv_metric):
@@ -114,11 +121,7 @@ def lbfgs(fun, grad, x0, inv_metric, max_iter, grad_tol):
         if it == max_iter:
             break
         if x_prev is not None:
-            s = x - x_prev
-            y = g - g_prev
-            sy = float(np.vdot(s, y))
-            if sy > 0.0:
-                pairs.append((s, y, 1.0 / sy))
+            remember_pair(pairs, x - x_prev, g - g_prev)
         step = lbfgs_search(fun, x, f, g, pairs, inv_metric)
         if step is None:
             stop = "line_search"

@@ -189,11 +189,12 @@ def midline_angles(y, grid):
     """Nodal angles of a nodal deformation's midline, for kirchhoff_jacobian.
 
     The deformation averaged over the x2 and x3 nodes gives each cell's
-    tangent angle atan2(-dy3, dy1); nodes take the mean of their two cells,
+    tangent angle atan2(-dy3, dy1), unwrapped along x1 so that a tangent
+    crossing +-pi stays continuous; nodes take the mean of their two cells,
     and the end nodes extrapolate linearly. A flat deformation gives zeros.
     """
     ybar = np.asarray(y, dtype=float).mean(axis=(1, 2))
-    cell = np.arctan2(-np.diff(ybar[:, 2]), np.diff(ybar[:, 0]))
+    cell = np.unwrap(np.arctan2(-np.diff(ybar[:, 2]), np.diff(ybar[:, 0])))
     theta = np.empty(grid.n1)
     theta[1:-1] = 0.5 * (cell[:-1] + cell[1:])
     theta[0] = 1.5 * cell[0] - 0.5 * cell[1]
@@ -210,7 +211,8 @@ def two_level_metric(y, grid, eps, rq):
     kirchhoff_jacobian at the midline angles of y and A^-1 is
     bending2d.bending_metric_inverse. J v sums v over x2 first and J^T
     broadcasts along x2; the coarse products are matrix-vector products, so
-    their summation order does not depend on the BLAS thread count.
+    their summation order does not depend on the BLAS thread count. The
+    line factors are cached, so a rebuild computes only J and A^-1.
     """
     line = electro3d.line_metric(grid, eps)
     J = kirchhoff_jacobian(midline_angles(y, grid), eps, grid)

@@ -357,6 +357,17 @@ def test_midline_angles_recover_the_lifted_profile():
     assert np.array_equal(midline_angles(flat_deformation(grid3, eps), grid3), np.zeros(33))
 
 
+def test_midline_angles_unwrap_a_tangent_that_crosses_pi():
+    from thinvolt.recovery import midline_angles
+
+    # the tangent angle crosses pi at x1 = 1/2, where atan2 jumps to -pi;
+    # each chord of a circular arc has the mean angle of its cell exactly
+    grid3 = Grid3(9, 5, 3)
+    theta = np.pi - 0.3 + 0.6 * grid3.x1
+    y = lift_deformation(CylindricalIsometry(Grid2(9, 5), theta), 0.25, grid3)
+    assert np.max(np.abs(midline_angles(y, grid3) - theta)) <= 1e-12
+
+
 def test_two_level_metric_is_the_line_metric_plus_the_lifted_bending_metric():
     from thinvolt.bending2d import bending_metric_inverse
     from thinvolt.electro3d import line_metric
