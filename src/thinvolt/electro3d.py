@@ -208,9 +208,10 @@ def line_metric(grid, eps):
     M is the x3-line block diagonal of the identity-coefficient Q1 Laplacian
     of PoissonSystem3 at this grid and eps, its diagonal shifted by
     METRIC_SHIFT times its mean: the shift takes the constants, the
-    Laplacian's kernel, out of the metric's, and the x3 blocks carry the
-    1/eps^2 stiffness across the thickness. Only the Thomas factors are
-    kept, cached per grid and eps.
+    Laplacian's kernel, out of the metric's. The x3 blocks carry the
+    unit-coefficient term |d3 v / eps|^2 of the scaled gradient, without
+    M_eps's eps^-2 prefactor or the elastic moduli (recovery.two_level_metric
+    scales by them). Only the Thomas factors are kept, cached per grid and eps.
     """
 
     def build_factors():

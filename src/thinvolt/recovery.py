@@ -162,27 +162,30 @@ def kirchhoff_jacobian(theta, eps, grid):
     result has shape (n1, n1 * n3 * 3), its columns in (x1, x3, component)
     order. Each cell integral of (cos theta, -sin theta) is
     (cos m, -sin m) sinc(d/2) for the cell's mean angle m and increment d.
+    Angle i moves only its two cells, so row i is the derivative of cell
+    i - 1 from node i on plus that of cell i after node i, the same at every
+    x3, and eps x3 d nu/dtheta_i at node i, less their closed-form mean.
     """
     theta = np.asarray(theta, dtype=float)
-    n1, n3 = grid.n1, grid.n3
+    n1 = grid.n1
     m, half = 0.5 * (theta[:-1] + theta[1:]), 0.5 * np.diff(theta)
     sinc, slope = _sinc_and_slope(half)
     cos_m, sin_m = np.cos(m), np.sin(m)
-    # d/dtheta_left and d/dtheta_right of the cell integrals c = cos m sinc and s = sin m sinc,
-    # summed along x1 into y1 = h1 cumsum(c) and y3 = -h1 cumsum(s)
-    dc_left, dc_right = -0.5 * (sin_m * sinc + cos_m * slope), -0.5 * (sin_m * sinc - cos_m * slope)
-    ds_left, ds_right = 0.5 * (cos_m * sinc - sin_m * slope), 0.5 * (cos_m * sinc + sin_m * slope)
-    cells = np.arange(n1 - 1)
-    D = np.zeros((n1, n1, n3, 3))  # (angle, x1 node, x3 node, component)
-    for k, h, left, right in ((0, grid.h1, dc_left, dc_right), (2, -grid.h1, ds_left, ds_right)):
-        per_cell = np.zeros((n1 - 1, n1))  # (cell, angle)
-        per_cell[cells, cells], per_cell[cells, cells + 1] = h * left, h * right
-        D[:, 1:, :, k] = np.cumsum(per_cell, axis=0).T[:, :, None]
-    nodes = np.arange(n1)
-    D[nodes, nodes, :, 0] += eps * grid.x3[None, :] * np.cos(theta)[:, None]
-    D[nodes, nodes, :, 2] -= eps * grid.x3[None, :] * np.sin(theta)[:, None]
-    D -= np.einsum("iklc,k,l->ic", D, grid.w1, grid.w3)[:, None, None, :]
-    return D.reshape(n1, -1)
+    # per angle i, the derivatives of y1 = h1 cumsum(cos m sinc) and y3 = -h1 cumsum(sin m sinc)
+    # in the left angle of cell i and in the right angle of cell i - 1; (angle, component)
+    h = 0.5 * grid.h1
+    left, right = np.zeros((n1, 3)), np.zeros((n1, 3))
+    left[:-1, 0], left[:-1, 2] = -h * (sin_m * sinc + cos_m * slope), -h * (cos_m * sinc - sin_m * slope)
+    right[1:, 0], right[1:, 2] = -h * (sin_m * sinc - cos_m * slope), -h * (cos_m * sinc + sin_m * slope)
+    node = np.arange(n1)
+    from_i, after_i = (node[None, :, None] >= node[:, None, None]), (node[None, :, None] > node[:, None, None])
+    profile = np.where(from_i, right[:, None, :], 0.0) + np.where(after_i, left[:, None, :], 0.0)  # (angle, x1 node, component)
+    dnu = np.stack([np.cos(theta), np.zeros(n1), -np.sin(theta)], axis=1)
+    profile -= ((grid.w1 @ profile) * grid.w3.sum() + grid.w1[:, None] * dnu * (eps * (grid.w3 @ grid.x3)))[:, None, :]
+    J = np.empty((n1, n1, grid.n3, 3))
+    J[...] = profile[:, :, None, :]
+    J[node, node] += eps * grid.x3[None, :, None] * dnu[:, None, :]
+    return J.reshape(n1, -1)
 
 
 def midline_angles(y, grid):
@@ -203,24 +206,31 @@ def midline_angles(y, grid):
 
 
 def two_level_metric(y, grid, eps, rq):
-    """v -> M^-1 v = P_line^-1 v + J^T A^-1 J v on nodal (n1, n2, n3, 3) fields.
+    """v -> M^-1 v = (eps^2 / C) P_line^-1 v + J^T A^-1 J v on nodal (n1, n2, n3, 3) fields.
 
-    P_line is electro3d.line_metric, which carries the 1/eps^2 stiffness
-    across the thickness; the coarse term (Nicolaides, SIAM J. Numer. Anal.
-    24, 1987) adds the bending stiffness of the 2D limit. J is
-    kirchhoff_jacobian at the midline angles of y and A^-1 is
-    bending2d.bending_metric_inverse. J v sums v over x2 first and J^T
-    broadcasts along x2; the coarse products are matrix-vector products, so
-    their summation order does not depend on the BLAS thread count. The
-    line factors are cached, so a rebuild computes only J and A^-1.
+    Both levels are in the units of M_eps. P_line is electro3d.line_metric,
+    whose x3 blocks carry the unit-coefficient term int |d3 v / eps|^2; on
+    fields that vary along x3, M_eps = eps^-2 int W(grad_eps y) has the
+    Hessian eps^-2 int Q3(d3 v / eps (x) e3), so the fine level is
+    (C / eps^2) P_line with C = rq.column_stiffness[2, 2], the normal
+    x3-gradient stiffness (2 mu + lam for the isotropic form). The coarse
+    term (Nicolaides, SIAM J. Numer. Anal. 24, 1987) adds the bending
+    stiffness of the 2D limit: J is kirchhoff_jacobian at the midline
+    angles of y and A^-1 is bending2d.bending_metric_inverse. J v sums v
+    over x2 first and J^T broadcasts along x2; the coarse products are
+    matrix-vector products, so their summation order does not depend on the
+    BLAS thread count. The line factors are cached, so a rebuild computes
+    only J and A^-1.
     """
     line = electro3d.line_metric(grid, eps)
+    fine = eps * eps / rq.column_stiffness[2, 2]
     J = kirchhoff_jacobian(midline_angles(y, grid), eps, grid)
     A_inv = bending2d.bending_metric_inverse(grid, rq)
     coarse_shape = (grid.n1, 1, grid.n3, 3)
 
     def inv_metric(v):
         out = line(v)
+        out *= fine
         out += (J.T @ (A_inv @ (J @ v.sum(axis=1).reshape(-1)))).reshape(coarse_shape)
         return out
 

@@ -51,7 +51,9 @@ class RelaxedQ2:
     Built from a 3x3-matrix quadratic form (typically the expansion of the
     elastic density at the identity) and an affine-in-thickness prestrain.
     Caches the linear minimizer map, the resulting 2x2-form coefficient
-    matrix and the in-plane prestrain blocks.
+    matrix, the in-plane prestrain blocks and column_stiffness, the 3x3
+    matrix with Q3(z (x) e3) = z^T column_stiffness z: the form's
+    stiffness against an x3-gradient.
     """
 
     def __init__(self, q3, prestrain=None):
@@ -59,7 +61,7 @@ class RelaxedQ2:
         self._b0, self._b1 = sym_part(pre.B0[:2, :2]), pre.B1[:2, :2]
         A = q3.A
         S, E = _COLUMN, _BLOCK
-        M = S.T @ A @ S
+        M = self.column_stiffness = S.T @ A @ S
         if abs(np.linalg.det(M)) < 1e-12 * max(1.0, np.linalg.norm(M) ** 3):
             raise ValueError("RelaxedQ2: quadratic form degenerate on the coupling subspace")
         # minimizer map z(X) = L vec(X) and Schur-reduced coefficient matrix

@@ -500,17 +500,17 @@ def test_solve3d_steps_near_the_unit_step_after_the_first_row_on_the_shipped_gri
     # on the shipped 17x17x9 grid the first row has no pair, and its
     # quadratic-interpolation trials reach an accepted step within four;
     # after it the scaled L-BFGS direction's unit step is accepted on nearly
-    # every row: at most 14 trials in all, 14 measured (13 with the coarse
-    # metric frozen at the start and one curvature pair, whose later rows
-    # all take the unit step)
+    # every row: at most 14 trials in all, 13 measured (14 with the fine
+    # level in unit scale)
     history, trials = _solve3d_trials(monkeypatch, _lifted_coupled_start(17, 17, 9))
     assert history.shape[0] == 10 and len(trials) == 10 and sum(trials) <= 14
     assert 0.0 < history[0, 3] < 1.0 and trials[0] <= 4
 
 
 def test_solve3d_reaches_the_configured_critical_point_within_budget():
-    # the lifted start converges to |g| <= 1e-4 in 69 rows on this
-    # grid; Euclidean steps stay above 0.2 after 160
+    # the lifted start converges to |g| <= 1e-4 in 46 rows on this grid (69
+    # with the fine level in unit scale); Euclidean steps stay above 0.2
+    # after 160
     grid, eps, mat, y_init = _lifted_coupled_start()
     _, _, history, converged = solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-10, grad_tol=1e-4, max_iters=150)
     assert converged and history[-1, 2] <= 1e-4
@@ -521,33 +521,71 @@ def test_solve3d_two_level_metric_ends_the_bench_budget_far_lower():
     # the bench's ten rows on the shipped grid: the x3-line metric alone ends
     # at F_eps 0.2425; the lifted bending metric, built once at the start with
     # one curvature pair, at 0.1277; rebuilt at every iterate with up to ten
-    # pairs it takes F_eps to 0.0987, every row's phi-side certificates within
-    # their gates
+    # pairs, at 0.0987 with the fine level in unit scale and at 0.02503 with it
+    # in M_eps's units, every row's phi-side certificates within their gates
     grid, eps, mat, y_init = _lifted_coupled_start(17, 17, 9)
     _, _, history, _ = solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-12, grad_tol=1e-8, max_iters=10)
-    assert history.shape == (10, 6) and history[-1, 1] <= 0.105
+    assert history.shape == (10, 6) and history[-1, 1] <= 0.027
     assert np.max(history[:, 4]) <= 1e-8 and np.max(history[:, 5]) <= 1e-8
+
+
+def _thin_regime_rows(eps_index):
+    # twenty solve3d rows on the shipped grid at a thinner configured eps;
+    # every row's phi-side certificates within their gates
+    grid, eps, mat, y_init = _lifted_coupled_start(17, 17, 9, eps_index=eps_index)
+    _, _, history, _ = solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-12, grad_tol=1e-8, max_iters=20)
+    assert history.shape == (20, 6)
+    assert np.max(history[:, 4]) <= 1e-8 and np.max(history[:, 5]) <= 1e-8
+    return eps, history
 
 
 def test_solve3d_two_level_metric_descends_in_the_thin_regime():
-    # eps 1/8 on the shipped grid, where the bending stiffness is small
-    # against the thickness stiffness: twenty rows end at F_eps 0.066 (0.113
-    # with the coarse metric frozen at the start and one curvature pair)
-    grid, eps, mat, y_init = _lifted_coupled_start(17, 17, 9, eps_index=1)
-    assert eps == 0.125
-    _, _, history, _ = solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-12, grad_tol=1e-8, max_iters=20)
-    assert history.shape == (20, 6) and history[-1, 1] <= 0.08
-    assert np.max(history[:, 4]) <= 1e-8 and np.max(history[:, 5]) <= 1e-8
+    # eps 1/8, where the bending stiffness is small against the thickness
+    # stiffness: twenty rows end at F_eps 0.02500 (0.066 with the fine level
+    # in unit scale, which outweighs the coarse one by about 3 / eps^2)
+    eps, history = _thin_regime_rows(1)
+    assert eps == 0.125 and history[-1, 1] <= 0.027
+
+
+def test_solve3d_two_level_metric_descends_at_eps_one_sixteenth():
+    # twenty rows end at F_eps 0.0253 (0.137 with the fine level in unit scale)
+    eps, history = _thin_regime_rows(2)
+    assert eps == 0.0625 and history[-1, 1] <= 0.027
+
+
+@pytest.mark.parametrize("eps_index", [0, 2])
+def test_two_level_metric_fine_level_follows_the_thickness_hessian(eps_index):
+    # on fields odd in x3 (no x3-constant part) and odd about x2 = 1/2 (J v = 0,
+    # so M^-1 is its fine level alone), the Rayleigh quotient of M_eps's
+    # Hessian at the lifted start against the fine level's stays in one band
+    # at eps 1/4 and 1/16: 0.47-0.53 and 0.28-0.33 measured. The unit-scaled
+    # level's quotient is C / eps^2 = 48 and 768 times larger
+    from thinvolt.elastic3d import grad_M_eps
+    from thinvolt.recovery import two_level_metric
+    from thinvolt.relaxation import RelaxedQ2
+
+    grid, eps, mat, y = _lifted_coupled_start(eps_index=eps_index)
+    metric = two_level_metric(y, grid, eps, RelaxedQ2.of(mat))
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        u = rng.standard_normal((grid.n1, grid.n2, 1, 3)) * grid.x3[None, None, :, None]
+        u -= u[:, ::-1].copy()
+        v = metric(u)  # M_fine v = u, so v . M_fine v = v . u
+        # central differences of the exact gradient, h rms(v) = 1e-6
+        h = 1e-6 / np.sqrt(np.mean(v * v))
+        Hv = (grad_M_eps(y + h * v, grid, eps, mat) - grad_M_eps(y - h * v, grid, eps, mat)) / (2.0 * h)
+        assert 0.2 <= np.vdot(v, Hv) / np.vdot(v, u) <= 1.0
 
 
 def _recorded_directions(monkeypatch, fake_row=None):
     # records each row's deformation, gradient and the pairs its direction
-    # sees; at fake_row the gradient is replaced by g_prev - (y - y_prev),
-    # whose pair has s.dg = -|s|^2 < 0
+    # sees, and whether each of the row's line searches failed; at fake_row
+    # the gradient is replaced by g_prev - (y - y_prev), whose pair has
+    # s.dg = -|s|^2 < 0
     from thinvolt import elastic3d, optimize
 
-    rows = {"y": [], "g": [], "pairs": []}
-    grad, direction = elastic3d.grad_y_F_eps, optimize._direction
+    rows = {"y": [], "g": [], "pairs": [], "failed": []}
+    grad, direction, backtrack = elastic3d.grad_y_F_eps, optimize._direction, optimize.backtrack
 
     def recorded_grad(y, *args):
         g = grad(y, *args)
@@ -559,17 +597,26 @@ def _recorded_directions(monkeypatch, fake_row=None):
 
     def recorded_direction(g, pairs, inv_metric):
         rows["pairs"].append([(s.copy(), dg.copy(), rho) for s, dg, rho in pairs])
+        rows["failed"].append([])
         return direction(g, pairs, inv_metric)
+
+    def recorded_backtrack(*args):
+        found = backtrack(*args)
+        rows["failed"][-1].append(found is None)
+        return found
 
     monkeypatch.setattr(elastic3d, "grad_y_F_eps", recorded_grad)
     monkeypatch.setattr(optimize, "_direction", recorded_direction)
+    monkeypatch.setattr(optimize, "backtrack", recorded_backtrack)
     return rows
 
 
 def test_solve3d_direction_sees_the_newest_positive_curvature_pairs(monkeypatch):
     # every row's direction sees, oldest first, the newest optimize.MEMORY
-    # pairs (y_k - y_k-1, g_k - g_k-1) with a positive product; the forged
-    # pair of row 2 is skipped and the older pair stays
+    # pairs (y_k - y_k-1, g_k - g_k-1) with a positive product, kept since the
+    # last failed search: the forged pair of row 2 is skipped and the older
+    # pair stays, the search along the forged gradient's direction fails, and
+    # its retry along -M^-1 g drops the memory
     from thinvolt.optimize import MEMORY
 
     rows = _recorded_directions(monkeypatch, fake_row=2)
@@ -577,7 +624,7 @@ def test_solve3d_direction_sees_the_newest_positive_curvature_pairs(monkeypatch)
     _, _, history, _ = solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-10, max_iters=MEMORY + 4)
     assert len(rows["pairs"]) == MEMORY + 4 and np.all(history[:, 3] > 0.0)
     kept = []
-    for k, pairs in enumerate(rows["pairs"]):
+    for k, (pairs, failed) in enumerate(zip(rows["pairs"], rows["failed"])):
         if k > 0:
             s, dg = rows["y"][k] - rows["y"][k - 1], rows["g"][k] - rows["g"][k - 1]
             if np.vdot(s, dg) > 0.0:
@@ -587,7 +634,12 @@ def test_solve3d_direction_sees_the_newest_positive_curvature_pairs(monkeypatch)
         assert len(pairs) == len(kept)
         for (s, dg, rho), (s_want, dg_want, rho_want) in zip(pairs, kept):
             assert np.array_equal(s, s_want) and np.array_equal(dg, dg_want) and rho == rho_want
-    assert len(rows["pairs"][1]) == 1 and len(rows["pairs"][2]) == 1
+        # a failed search is retried once, with the pairs dropped, only when pairs were stored
+        assert failed in ([False], [True, False]) and (failed == [False] or pairs)
+        if failed[0]:
+            kept = []
+    assert [k for k, failed in enumerate(rows["failed"]) if failed[0]] == [2]
+    assert len(rows["pairs"][1]) == 1 and len(rows["pairs"][2]) == 1 and len(rows["pairs"][3]) == 1
     assert len(rows["pairs"][-1]) == MEMORY
 
 

@@ -9,7 +9,7 @@ from thinvolt.bending2d import CylindricalIsometry
 from thinvolt.elastic3d import M_eps, flat_deformation
 from thinvolt.electro3d import E_eps, assemble_poisson3, check_pg0, solve_potential3
 from thinvolt.fields import Grid2, Grid3
-from thinvolt.material import Material, PrestrainModel
+from thinvolt.material import ElasticParams, Material, PrestrainModel, Q3_form
 from thinvolt.recovery import (
     SWEEP_COLUMNS,
     RecoveryInputs,
@@ -345,6 +345,42 @@ def test_kirchhoff_jacobian_matches_central_differences_of_the_lift(theta):
     assert np.max(np.abs(np.einsum("iklc,k,l->ic", J.reshape(n1, n1, 5, 3), grid3.w1, grid3.w3))) < 1e-14
 
 
+def _dense_kirchhoff_jacobian(theta, eps, grid):
+    # J filled node by node: each row's cell derivatives summed along x1 into
+    # a dense (angle, x1, x3, component) array, the x3 term added on the
+    # diagonal and the weighted mean taken over the whole array
+    from thinvolt.recovery import _sinc_and_slope
+
+    n1, n3 = grid.n1, grid.n3
+    m, half = 0.5 * (theta[:-1] + theta[1:]), 0.5 * np.diff(theta)
+    sinc, slope = _sinc_and_slope(half)
+    cos_m, sin_m = np.cos(m), np.sin(m)
+    dc_left, dc_right = -0.5 * (sin_m * sinc + cos_m * slope), -0.5 * (sin_m * sinc - cos_m * slope)
+    ds_left, ds_right = 0.5 * (cos_m * sinc - sin_m * slope), 0.5 * (cos_m * sinc + sin_m * slope)
+    cells = np.arange(n1 - 1)
+    D = np.zeros((n1, n1, n3, 3))
+    for k, h, left, right in ((0, grid.h1, dc_left, dc_right), (2, -grid.h1, ds_left, ds_right)):
+        per_cell = np.zeros((n1 - 1, n1))
+        per_cell[cells, cells], per_cell[cells, cells + 1] = h * left, h * right
+        D[:, 1:, :, k] = np.cumsum(per_cell, axis=0).T[:, :, None]
+    nodes = np.arange(n1)
+    D[nodes, nodes, :, 0] += eps * grid.x3[None, :] * np.cos(theta)[:, None]
+    D[nodes, nodes, :, 2] -= eps * grid.x3[None, :] * np.sin(theta)[:, None]
+    D -= np.einsum("iklc,k,l->ic", D, grid.w1, grid.w3)[:, None, None, :]
+    return D.reshape(n1, -1)
+
+
+@pytest.mark.parametrize("n1, n3, eps", [(6, 5, 0.25), (17, 9, 0.25), (17, 9, 0.0625), (33, 3, 0.125), (65, 17, 0.03125)])
+def test_kirchhoff_jacobian_matches_the_dense_build(n1, n3, eps):
+    from thinvolt.recovery import kirchhoff_jacobian
+
+    grid3 = Grid3(n1, 3, n3)
+    theta = np.cumsum(np.random.default_rng(n1).normal(0.0, 0.3, n1))
+    J = kirchhoff_jacobian(theta, eps, grid3)
+    assert J.shape == (n1, n1 * n3 * 3)
+    assert np.max(np.abs(J - _dense_kirchhoff_jacobian(theta, eps, grid3))) <= 1e-14
+
+
 def test_midline_angles_recover_the_lifted_profile():
     from thinvolt.elastic3d import flat_deformation
     from thinvolt.recovery import midline_angles
@@ -374,7 +410,8 @@ def test_two_level_metric_is_the_line_metric_plus_the_lifted_bending_metric():
     from thinvolt.recovery import kirchhoff_jacobian, midline_angles, two_level_metric
 
     grid3, eps = Grid3(6, 5, 5), 0.25
-    rq = _rq(Material())
+    mat = Material(elastic=ElasticParams(mu=0.7, lam=1.9))
+    rq = _rq(mat)
     y = lift_deformation(CylindricalIsometry(Grid2(6, 5), _bent_profile(6)), eps, grid3)
     n = y.size
     unit = np.eye(n).reshape((n,) + y.shape)
@@ -384,7 +421,11 @@ def test_two_level_metric_is_the_line_metric_plus_the_lifted_bending_metric():
     # J on the full nodal field: each (x1, x3) column repeated along x2
     J = kirchhoff_jacobian(midline_angles(y, grid3), eps, grid3).reshape(6, 6, 1, 5, 3)
     J = np.broadcast_to(J, (6,) + y.shape).reshape(6, n)
-    expected = P_inv + J.T @ bending_metric_inverse(grid3, rq) @ J
+    # the fine level in M_eps's units: eps^2 over Q3's stiffness against the
+    # normal x3-gradient e3 (x) e3, 2 mu + lam = 3.3
+    C = Q3_form(mat.elastic)(np.outer([0.0, 0.0, 1.0], [0.0, 0.0, 1.0]))
+    assert abs(C - 3.3) <= 1e-14
+    expected = (eps * eps / C) * P_inv + J.T @ bending_metric_inverse(grid3, rq) @ J
     assert np.max(np.abs(M_inv - expected)) <= 1e-12 * np.max(np.abs(expected))
     assert np.max(np.abs(M_inv - M_inv.T)) <= 1e-12 * np.max(np.abs(M_inv))
     assert np.linalg.eigvalsh(0.5 * (M_inv + M_inv.T)).min() > 0.0

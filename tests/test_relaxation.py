@@ -191,6 +191,17 @@ def test_relaxed_form_of_material():
         assert np.array_equal(got, want)
 
 
+def test_column_stiffness_is_the_form_on_x3_gradients():
+    # Q3(z (x) e3) = z^T column_stiffness z; the isotropic form gives mu on
+    # the tangential components and 2 mu + lam on the normal one
+    p = ElasticParams(mu=0.7, lam=1.9, q_w=26.0)
+    q3 = Q3_form(p)
+    K = RelaxedQ2(q3).column_stiffness
+    assert np.max(np.abs(K - np.diag([0.7, 0.7, 3.3]))) <= 1e-14
+    for z in np.random.default_rng(5).standard_normal((4, 3)):
+        assert abs(q3(np.outer(z, [0.0, 0.0, 1.0])) - z @ K @ z) <= 1e-13
+
+
 def test_effective_permittivity_identity_frame():
     (kb, kv, kz), keff = effective_permittivity(np.diag([1.0, 1.0, 4.0]), np.eye(3))
     assert np.max(np.abs(keff - np.eye(2))) < 1e-14
