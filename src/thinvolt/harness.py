@@ -327,6 +327,47 @@ def saddle_probe(F, point, n_probes=50, radius=1e-3, rng=None, sides=("phi", "y"
 # 3D alternating solver
 
 
+_ORIENTATION_SAMPLES = (math.pi / 4.0, math.pi / 2.0)  # the two angles besides 0 that fix the orbit energy
+
+
+def _rotated_about_x2(y, c):
+    """The zero-mean deformation y rigidly rotated about the x2 axis through its centroid by the angle c."""
+    cos_c, sin_c = math.cos(c), math.sin(c)
+    rotated = y.copy()
+    rotated[..., 0] = cos_c * y[..., 0] + sin_c * y[..., 2]
+    rotated[..., 2] = cos_c * y[..., 2] - sin_c * y[..., 0]
+    return rotated
+
+
+def _orientation_step(trial, y, f_y):
+    """The rigid rotation of y about x2 that minimises its frozen-potential energy: (angle, f, state), or None.
+
+    At a frozen potential M_eps is invariant under the rotation R_c and the
+    pulled-back permittivity det F F^-1 R_c^T k R_c F^-T is affine in
+    (cos 2c, sin 2c) when k couples x2 to neither x1 nor x3, so the energy
+    on the orbit is alpha + beta cos 2c + gamma sin 2c. The trials at the
+    two sample angles and f_y at c = 0 fix it, and c* = atan2(-gamma,
+    -beta) / 2 is its minimiser. The sample at pi/2 keeps its state, so
+    c* = pi/2 costs no third trial; the one at pi/4 is dropped at once,
+    which keeps at most one trial state besides y's alive. No step is
+    taken when the orbit is flat to within sqrt(machine eps) of f_y (an
+    isotropic k) or when the trial at c* does not lower f_y.
+    """
+    quarter, half = _ORIENTATION_SAMPLES
+    f_quarter = trial(_rotated_about_x2(y, quarter))[0]
+    f_half, state = trial(_rotated_about_x2(y, half))
+    alpha = 0.5 * (f_y + f_half)
+    beta, gamma = f_y - alpha, f_quarter - alpha
+    if not np.sqrt(np.finfo(float).eps) * abs(f_y) < math.hypot(beta, gamma) < math.inf:
+        return None
+    c = 0.5 * math.atan2(-gamma, -beta)
+    f_c = f_half
+    if c != half:
+        state = None
+        f_c, state = trial(_rotated_about_x2(y, c))
+    return (c, f_c, state) if f_c < f_y else None
+
+
 def solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-10, grad_tol=1e-7, max_iters=100, rng=None, *, telemetry=None):
     """Alternate exact potential solves with metric-scaled descent in y.
 
@@ -340,20 +381,26 @@ def solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-10, grad_tol=1e-7
     optimize.remember_pair only when their product is positive). A
     rejected finite trial moves the step to the safeguarded
     quadratic-interpolation guess. A search that fails with pairs stored is
-    retried once along -M^-1 g with the pairs dropped. Each history row
-    records the energy after the potential step and after the deformation
-    step, the gradient norm, the accepted Armijo step (0 when the search
-    failed), the weak-form residual of the solve, and the phi-side saddle
-    probe (8 probes of radius 1e-3) at the fresh potential. telemetry is
-    the run-statistics channel: a dict, when given, that every potential
-    solve adds its PCG iterations to, under "pcg_iterations", and every
-    line-search trial one evaluation to, under "line_search_evaluations".
+    retried once along -M^-1 g with the pairs dropped. The first row's
+    accepted point then takes the rigid orientation about x2 that
+    _orientation_step finds at the same frozen potential, when that lowers
+    its energy; the step is no gradient step, so no pair spans it. Each
+    history row records the energy after the potential step and after the
+    deformation step, the gradient norm, the accepted Armijo step (0 when
+    the search failed), the weak-form residual of the solve, and the
+    phi-side saddle probe (8 probes of radius 1e-3) at the fresh potential.
+    telemetry is the run-statistics channel: a dict, when given, that every
+    potential solve adds its PCG iterations to, under "pcg_iterations",
+    every line-search and orientation trial one evaluation to, under
+    "line_search_evaluations", and that holds the orientation step's angle
+    in radians (0.0 when none is taken) under "orientation_angle".
     """
     if rng is None:
         rng = NormalSampler(0)
     if telemetry is None:
         telemetry = {}
     telemetry.setdefault("line_search_evaluations", 0)
+    telemetry["orientation_angle"] = 0.0
 
     def evaluate(c):
         # the one evaluation of a point: the start, or a trial whose accepted state is the next iterate's
@@ -410,6 +457,12 @@ def solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-10, grad_tol=1e-7
             break
         y_prev, g_prev = y, g
         _, f_y, (y, m_y, system), t = found
+        if not history:
+            # rebinding found releases its hold on y1's system, which a step replaces
+            found = _orientation_step(trial, y, f_y)
+            if found is not None:
+                telemetry["orientation_angle"], f_y, (y, m_y, system) = found
+                y_prev = g_prev = None  # no gradient step: row 2 stores no pair, so the memory stays empty
         history.append((f_phi, f_y, gnorm, t, pg0, probe["phi_side"]))
     if system is None:
         system = electro3d.assemble_poisson3(y, grid, eps, mat)
@@ -533,6 +586,7 @@ def _cmd_solve3d(cfg, out_dir):
         "worst_phi_probe": worst_probe,
         "pcg_iterations": telemetry["pcg_iterations"],
         "line_search_evaluations": telemetry["line_search_evaluations"],
+        "orientation_angle": telemetry["orientation_angle"],
         "pass": bool(finite and worst_probe <= 1e-8 and worst_pg0 <= 1e-8),
     }
     _write_json(os.path.join(out_dir, "summary.json"), summary)

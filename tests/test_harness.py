@@ -16,11 +16,13 @@ from thinvolt.harness import (
     RunConfig,
     check_conditions,
     cli_main,
+    _orientation_step,
+    _rotated_about_x2,
     _termination,
     saddle_probe,
     solve3d_alternating,
 )
-from thinvolt.material import Material
+from thinvolt.material import Material, PermittivityModel
 from thinvolt.recovery import SWEEP_COLUMNS, SweepRow
 
 
@@ -362,7 +364,9 @@ def test_solve3d_line_search_failure_records_zero_step(monkeypatch):
 
 def test_solve3d_evaluates_M_eps_once_per_point(monkeypatch):
     # the start is evaluated once, each trial once, and the accepted trial's
-    # value serves the next iterate: M_eps calls = 1 + line-search trials
+    # value serves the next iterate: M_eps calls = 1 + the trials telemetry
+    # counts, the line searches' and the first row's two or three
+    # orientation trials
     from thinvolt import elastic3d, optimize
     from thinvolt.elastic3d import flat_deformation
 
@@ -384,9 +388,13 @@ def test_solve3d_evaluates_M_eps_once_per_point(monkeypatch):
     monkeypatch.setattr(optimize, "backtrack", counted_backtrack)
     grid = Grid3(5, 5, 4)
     eps = 0.25
-    _, _, history, _ = solve3d_alternating(grid, eps, Material(), flat_deformation(grid, eps), poisson_tol=1e-11, max_iters=4)
+    telemetry = {}
+    _, _, history, _ = solve3d_alternating(
+        grid, eps, Material(), flat_deformation(grid, eps), poisson_tol=1e-11, max_iters=4, telemetry=telemetry
+    )
     assert history.shape[0] == 4 and calls["trials"] >= 4
-    assert calls["M_eps"] == 1 + calls["trials"]
+    assert telemetry["line_search_evaluations"] - calls["trials"] in (2, 3)
+    assert calls["M_eps"] == 1 + telemetry["line_search_evaluations"]
 
 
 @pytest.mark.parametrize("stop", ["converged", "max_iters", "line_search"])
@@ -394,7 +402,10 @@ def test_solve3d_assembles_once_per_point(monkeypatch, stop):
     # the start and each finite trial assemble one system, and the accepted
     # trial's system serves the next iterate and, at the iteration cap, the
     # final solve; the other exits dropped it before the gradient and
-    # assemble once more for the final solve
+    # assemble once more for the final solve. The trials telemetry counts
+    # beyond the line searches' are the first row's orientation trials,
+    # rigid rotations of a feasible point and so all finite: none when the
+    # first row converges or its search fails, two or three otherwise
     from thinvolt import electro3d, optimize
     from thinvolt.elastic3d import flat_deformation
 
@@ -402,7 +413,7 @@ def test_solve3d_assembles_once_per_point(monkeypatch, stop):
     eps = 0.25
     mat = Material()
     y_init = flat_deformation(grid, eps)
-    calls = {"assemble": 0, "finite_trials": 0}
+    calls = {"assemble": 0, "trials": 0, "finite_trials": 0}
     assemble, backtrack = electro3d.assemble_poisson3, optimize.backtrack
 
     def counted_assemble(*args):
@@ -412,6 +423,7 @@ def test_solve3d_assembles_once_per_point(monkeypatch, stop):
     def counted_backtrack(fun, *args):
         def counted_fun(c):
             f, state = fun(c)
+            calls["trials"] += 1
             calls["finite_trials"] += bool(np.isfinite(f))
             return f, state
 
@@ -422,10 +434,15 @@ def test_solve3d_assembles_once_per_point(monkeypatch, stop):
     if stop == "line_search":
         _infinite_away_from_start(monkeypatch, grid, y_init)
     grad_tol = 1e3 if stop == "converged" else 1e-7
-    y, phi, history, converged = solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-11, grad_tol=grad_tol, max_iters=4)
+    telemetry = {}
+    y, phi, history, converged = solve3d_alternating(
+        grid, eps, mat, y_init, poisson_tol=1e-11, grad_tol=grad_tol, max_iters=4, telemetry=telemetry
+    )
     assert _termination(converged, history) == stop
     assert calls["finite_trials"] >= (4 if stop == "max_iters" else 0)
-    assert calls["assemble"] == 1 + calls["finite_trials"] + (stop != "max_iters")
+    orientation_trials = telemetry["line_search_evaluations"] - calls["trials"]
+    assert orientation_trials in ((2, 3) if stop == "max_iters" else (0,))
+    assert calls["assemble"] == 1 + calls["finite_trials"] + orientation_trials + (stop != "max_iters")
     assert electro3d.check_pg0(y, phi, grid, eps, mat) <= 1e-8
 
 
@@ -507,13 +524,15 @@ def test_solve3d_steps_near_the_unit_step_after_the_first_row_on_the_shipped_gri
     assert 0.0 < history[0, 3] < 1.0 and trials[0] <= 4
 
 
-def test_solve3d_reaches_the_configured_critical_point_within_budget():
-    # the lifted start converges to |g| <= 1e-4 in 46 rows on this grid (69
-    # with the fine level in unit scale); Euclidean steps stay above 0.2
-    # after 160
+def test_solve3d_reaches_the_rotated_branch_within_budget():
+    # the first row's orientation step puts the lifted start on the rotated
+    # branch, where it converges to |g| <= 1e-4 in 46 rows on this grid at
+    # F_eps 0.0062631; without the step it stayed on the configured branch
+    # and took 46 rows to its critical point (69 with the fine level in unit
+    # scale), and Euclidean steps stay above 0.2 after 160
     grid, eps, mat, y_init = _lifted_coupled_start()
     _, _, history, converged = solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-10, grad_tol=1e-4, max_iters=150)
-    assert converged and history[-1, 2] <= 1e-4
+    assert converged and history[-1, 2] <= 1e-4 and abs(history[-1, 1] - 0.0062631) <= 1e-6
     assert np.max(history[:, 4]) <= 1e-8 and np.max(history[:, 5]) <= 1e-8
 
 
@@ -522,11 +541,71 @@ def test_solve3d_two_level_metric_ends_the_bench_budget_far_lower():
     # at F_eps 0.2425; the lifted bending metric, built once at the start with
     # one curvature pair, at 0.1277; rebuilt at every iterate with up to ten
     # pairs, at 0.0987 with the fine level in unit scale and at 0.02503 with it
-    # in M_eps's units, every row's phi-side certificates within their gates
+    # in M_eps's units; with the first row's orientation step, at 0.0065337,
+    # every row's phi-side certificates within their gates
     grid, eps, mat, y_init = _lifted_coupled_start(17, 17, 9)
     _, _, history, _ = solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-12, grad_tol=1e-8, max_iters=10)
-    assert history.shape == (10, 6) and history[-1, 1] <= 0.027
+    assert history.shape == (10, 6) and history[-1, 1] <= 0.007
     assert np.max(history[:, 4]) <= 1e-8 and np.max(history[:, 5]) <= 1e-8
+
+
+def test_orientation_orbit_energy_is_affine_in_the_double_angle():
+    # at the potential solved at y, the frozen potential of solve3d's trials,
+    # the energy of the rigid rotations R_c y about x2 is
+    # alpha + beta cos 2c + gamma sin 2c: the samples at 0, pi/4 and pi/2
+    # give it at every other angle to 1e-12 relative (2e-15 measured), and
+    # the orientation step's third trial lands on its minimum
+    from thinvolt import elastic3d, electro3d, fields
+
+    grid, eps, mat, y = _lifted_coupled_start()
+    y = fields.zero_mean_project(y, grid)
+    phi = electro3d.assemble_poisson3(y, grid, eps, mat).solve(tol=1e-10)
+
+    def frozen(c):
+        c = fields.zero_mean_project(c, grid)
+        return elastic3d.M_eps(c, grid, eps, mat) - electro3d.electrostatic_energy(*electro3d.assemble_poisson3(c, grid, eps, mat).energy_parts(phi))
+
+    f0, f_quarter, f_half = (frozen(_rotated_about_x2(y, c)) for c in (0.0, math.pi / 4, math.pi / 2))
+    alpha = 0.5 * (f0 + f_half)
+    beta, gamma = f0 - alpha, f_quarter - alpha
+    for c in (0.1, 0.3, 1.0, 2.0, -0.7, math.pi / 3):
+        f = frozen(_rotated_about_x2(y, c))
+        assert abs(f - (alpha + beta * math.cos(2 * c) + gamma * math.sin(2 * c))) <= 1e-12 * abs(f)
+    trials = []
+
+    def trial(c):
+        trials.append(c)
+        return frozen(c), c
+
+    angle, f, rotated = _orientation_step(trial, y, f0)
+    assert len(trials) == 3 and np.array_equal(rotated, _rotated_about_x2(y, angle))
+    assert abs(f - (alpha - math.hypot(beta, gamma))) <= 1e-12 * abs(f) and f < f_half < f0
+
+
+def test_orientation_step_is_not_taken_with_isotropic_permittivity(monkeypatch):
+    # negative control: with k = 2 I the energy is the same on the whole
+    # orbit to round-off, so the first row runs its two sample trials, takes
+    # no step and records the angle 0
+    from thinvolt import optimize
+
+    grid, eps, mat, y_init = _lifted_coupled_start()
+    mat = dataclasses.replace(mat, permittivity=PermittivityModel(k=2 * np.eye(3)))
+    searched = [0]
+    backtrack = optimize.backtrack
+
+    def counted_backtrack(fun, *args):
+        def counted_fun(c):
+            searched[0] += 1
+            return fun(c)
+
+        return backtrack(counted_fun, *args)
+
+    monkeypatch.setattr(optimize, "backtrack", counted_backtrack)
+    telemetry = {}
+    _, _, history, _ = solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-10, max_iters=2, telemetry=telemetry)
+    assert history.shape == (2, 6) and np.all(history[:, 3] > 0.0)
+    assert telemetry["orientation_angle"] == 0.0
+    assert telemetry["line_search_evaluations"] - searched[0] == 2
 
 
 def _thin_regime_rows(eps_index):
@@ -541,16 +620,18 @@ def _thin_regime_rows(eps_index):
 
 def test_solve3d_two_level_metric_descends_in_the_thin_regime():
     # eps 1/8, where the bending stiffness is small against the thickness
-    # stiffness: twenty rows end at F_eps 0.02500 (0.066 with the fine level
-    # in unit scale, which outweighs the coarse one by about 3 / eps^2)
+    # stiffness: twenty rows end at F_eps 0.006424 on the rotated branch
+    # (0.02500 without the orientation step, and 0.066 with the fine level in
+    # unit scale, which outweighs the coarse one by about 3 / eps^2)
     eps, history = _thin_regime_rows(1)
-    assert eps == 0.125 and history[-1, 1] <= 0.027
+    assert eps == 0.125 and history[-1, 1] <= 0.007
 
 
 def test_solve3d_two_level_metric_descends_at_eps_one_sixteenth():
-    # twenty rows end at F_eps 0.0253 (0.137 with the fine level in unit scale)
+    # twenty rows end at F_eps 0.006553 on the rotated branch (0.0253 without
+    # the orientation step, 0.137 with the fine level in unit scale)
     eps, history = _thin_regime_rows(2)
-    assert eps == 0.0625 and history[-1, 1] <= 0.027
+    assert eps == 0.0625 and history[-1, 1] <= 0.007
 
 
 @pytest.mark.parametrize("eps_index", [0, 2])
@@ -614,23 +695,28 @@ def _recorded_directions(monkeypatch, fake_row=None):
 def test_solve3d_direction_sees_the_newest_positive_curvature_pairs(monkeypatch):
     # every row's direction sees, oldest first, the newest optimize.MEMORY
     # pairs (y_k - y_k-1, g_k - g_k-1) with a positive product, kept since the
-    # last failed search: the forged pair of row 2 is skipped and the older
-    # pair stays, the search along the forged gradient's direction fails, and
-    # its retry along -M^-1 g drops the memory
+    # last failed search or orientation step: the first row's orientation
+    # step clears the pairs and forms none, the forged pair of row 4 is
+    # skipped and the two older pairs stay, the search along the forged
+    # gradient's direction fails, and its retry along -M^-1 g drops the memory
     from thinvolt.optimize import MEMORY
 
-    rows = _recorded_directions(monkeypatch, fake_row=2)
+    rows = _recorded_directions(monkeypatch, fake_row=4)
     grid, eps, mat, y_init = _lifted_coupled_start()
-    _, _, history, _ = solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-10, max_iters=MEMORY + 4)
-    assert len(rows["pairs"]) == MEMORY + 4 and np.all(history[:, 3] > 0.0)
+    telemetry = {}
+    _, _, history, _ = solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-10, max_iters=MEMORY + 5, telemetry=telemetry)
+    assert len(rows["pairs"]) == MEMORY + 5 and np.all(history[:, 3] > 0.0)
+    assert telemetry["orientation_angle"] != 0.0
     kept = []
     for k, (pairs, failed) in enumerate(zip(rows["pairs"], rows["failed"])):
-        if k > 0:
+        if k == 1:
+            kept = []  # the orientation step after row 0
+        elif k > 1:
             s, dg = rows["y"][k] - rows["y"][k - 1], rows["g"][k] - rows["g"][k - 1]
             if np.vdot(s, dg) > 0.0:
                 kept = (kept + [(s, dg, 1.0 / float(np.vdot(s, dg)))])[-MEMORY:]
             else:
-                assert k == 2
+                assert k == 4
         assert len(pairs) == len(kept)
         for (s, dg, rho), (s_want, dg_want, rho_want) in zip(pairs, kept):
             assert np.array_equal(s, s_want) and np.array_equal(dg, dg_want) and rho == rho_want
@@ -638,15 +724,17 @@ def test_solve3d_direction_sees_the_newest_positive_curvature_pairs(monkeypatch)
         assert failed in ([False], [True, False]) and (failed == [False] or pairs)
         if failed[0]:
             kept = []
-    assert [k for k, failed in enumerate(rows["failed"]) if failed[0]] == [2]
-    assert len(rows["pairs"][1]) == 1 and len(rows["pairs"][2]) == 1 and len(rows["pairs"][3]) == 1
+    assert [k for k, failed in enumerate(rows["failed"]) if failed[0]] == [4]
+    assert [len(pairs) for pairs in rows["pairs"][:6]] == [0, 0, 1, 2, 2, 1]
     assert len(rows["pairs"][-1]) == MEMORY
 
 
 def test_solve3d_retries_a_failed_search_along_the_metric_gradient(monkeypatch):
     # a search along the L-BFGS direction that fails is retried once along
     # -M^-1 g, M the two-level metric at the current iterate, with the pairs
-    # dropped; the retry's accepted step fills the row
+    # dropped; the retry's accepted step fills the row. The first row's
+    # orientation step clears the pairs, so row 2 is the first whose
+    # direction sees one
     from thinvolt import fields, optimize
     from thinvolt.recovery import two_level_metric
     from thinvolt.relaxation import RelaxedQ2
@@ -657,22 +745,22 @@ def test_solve3d_retries_a_failed_search_along_the_metric_gradient(monkeypatch):
 
     def failing_with_a_pair(fun, x, f, g, p):
         searches.append(p.copy())
-        if rows["pairs"][-1] and len(searches) == 2:
+        if rows["pairs"][-1] and len(searches) == 3:
             return None
         return backtrack(fun, x, f, g, p)
 
     monkeypatch.setattr(optimize, "backtrack", failing_with_a_pair)
     grid, eps, mat, y_init = _lifted_coupled_start()
-    _, _, history, _ = solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-10, max_iters=3)
-    assert len(rows["pairs"][1]) == 1 and len(searches) == 4
+    _, _, history, _ = solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-10, max_iters=4)
+    assert [len(pairs) for pairs in rows["pairs"][:3]] == [0, 0, 1] and len(searches) == 5
     rq = RelaxedQ2.of(mat)
-    retry = -two_level_metric(rows["y"][1], grid, eps, rq)(rows["g"][1])
-    assert np.array_equal(searches[2], retry)
+    retry = -two_level_metric(rows["y"][2], grid, eps, rq)(rows["g"][2])
+    assert np.array_equal(searches[3], retry)
     # the metric follows the iterate: the start's gives another direction
-    assert not np.array_equal(retry, -two_level_metric(fields.zero_mean_project(y_init, grid), grid, eps, rq)(rows["g"][1]))
+    assert not np.array_equal(retry, -two_level_metric(fields.zero_mean_project(y_init, grid), grid, eps, rq)(rows["g"][2]))
     # the dropped memory holds only the newest pair at the next row
-    assert len(rows["pairs"][2]) <= 1
-    assert history.shape == (3, 6) and np.all(history[:, 3] > 0.0)
+    assert len(rows["pairs"][3]) <= 1
+    assert history.shape == (4, 6) and np.all(history[:, 3] > 0.0)
 
 
 def test_solve3d_termination_reasons():
@@ -892,6 +980,9 @@ def test_cli_solve3d(tmp_path):
     assert isinstance(summary["pcg_iterations"], int) and summary["pcg_iterations"] >= 3 + 1
     # an unconverged row evaluates at least one line-search trial
     assert isinstance(summary["line_search_evaluations"], int) and summary["line_search_evaluations"] >= summary["iterations"]
+    # the angle of the first row's orientation step about x2, taken with the
+    # default anisotropic k: the orbit energy's minimiser in [-pi/2, pi/2]
+    assert isinstance(summary["orientation_angle"], float) and 0.0 < abs(summary["orientation_angle"]) <= math.pi / 2
     hist = (tmp_path / "out" / "solve3d_history.csv").read_text().splitlines()
     assert hist[0] == "F_after_phi,F_after_y,grad_norm,step,pg0_res,phi_probe"
 
