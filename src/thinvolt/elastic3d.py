@@ -92,11 +92,11 @@ def _integrals(y, grid, eps, mat):
     elastic = 0.0
     for w, _, arg, _, detM in _gauss_points(y, grid, eps, mat):
         Wd = W_el(arg, mat.elastic)
+        del arg  # not alive while the next point's gradient or the Hessian norm is formed
         if not np.all(np.isfinite(Wd)):
             return np.inf, np.inf
         elastic += w * fields.integrate3(Wd * detM, grid)
-    G = fields.scaled_hessian(y, grid, eps)
-    return elastic, fields.integrate3(H_hyper(G, eps, mat.hyper), grid)
+    return elastic, fields.integrate3(H_hyper(fields.scaled_hessian_norm(y, grid, eps), eps, mat.hyper), grid)
 
 
 def M_eps(y, grid, eps, mat):

@@ -37,6 +37,15 @@ def _oriented_gradient(y, grid, eps):
     return F
 
 
+# Rows of the stencil table per GEMM: a third of the 36 in 3D, the whole 10 in
+# 2D. On one thread, numpy 2.4.6's bundled OpenBLAS rounds every 12-row slice
+# of the product as it rounds those rows of the full product, at each cell
+# count tried (2 to 140000), while 2- to 10- and 18-row slices change the last
+# bit at most cell counts that are not a multiple of 8 (tests/test_blocking.py
+# pins this).
+STENCIL_ROWS = 12
+
+
 def _stencil(coef, grid, eps):
     """Nodal stencil of the assembled operator, keyed by neighbour offset.
 
@@ -46,10 +55,11 @@ def _stencil(coef, grid, eps):
     offset -o needs no array of its own: K[n + o, n] = S_o[n].
 
     The cell-stiffness entries K_ab (corner a, corner b) that the stencil
-    needs come straight from the coefficient, one GEMM against their columns
-    of the cached stiffness table, as rows in corner-loop order: each row is
-    a contiguous cell array added into its offset. The entries and their
-    sums match the ones read out of fields.local_stiffness to the bit.
+    needs come straight from the coefficient, GEMMs against their columns
+    of the cached stiffness table, STENCIL_ROWS rows at a time in
+    corner-loop order: each row is a contiguous cell array added into its
+    offset. The entries and their sums match the ones read out of
+    fields.local_stiffness to the bit.
     """
     dim = len(grid.shape)
     corners = list(itertools.product((0, 1), repeat=dim))
@@ -59,12 +69,15 @@ def _stencil(coef, grid, eps):
             o = tuple(q - p for p, q in zip(ca, cb))
             if o >= (0,) * dim:
                 pairs.append((ca, o, a * len(corners) + b))
-    T = fields.stiffness_table(grid, eps)
-    rows = T[:, [col for _, _, col in pairs]].T @ np.reshape(coef, (-1, dim * dim)).T
+    table = fields.stiffness_table(grid, eps)[:, [col for _, _, col in pairs]].T
+    coef = np.reshape(coef, (-1, dim * dim)).T
     stencil = {}
-    for (ca, o, _), row in zip(pairs, rows):
-        cells = tuple(slice(p, n - 1 + p) for p, n in zip(ca, grid.shape))
-        stencil.setdefault(o, np.zeros(grid.shape))[cells] += row.reshape(grid.cshape)
+    for start in range(0, len(pairs), STENCIL_ROWS):
+        rows = table[start : start + STENCIL_ROWS] @ coef
+        for (ca, o, _), row in zip(pairs[start : start + STENCIL_ROWS], rows):
+            cells = tuple(slice(p, n - 1 + p) for p, n in zip(ca, grid.shape))
+            stencil.setdefault(o, np.zeros(grid.shape))[cells] += row.reshape(grid.cshape)
+        del rows, row  # not alive while the next slice is multiplied
     return dict(sorted(stencil.items()))
 
 

@@ -29,6 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import smallmat
+
 __all__ = [
     "Grid3",
     "Grid2",
@@ -43,6 +45,7 @@ __all__ = [
     "scaled_gradient",
     "gradient_scatter",
     "scaled_hessian",
+    "scaled_hessian_norm",
     "hessian_scatter",
     "integrate3",
     "zero_mean_project",
@@ -163,21 +166,48 @@ def _make_axis_ops(n, h):
 # dimension-generic Q1 kernel
 
 
-def _corner_slices(grid):
-    """Per cell corner, in corner order, the index that selects that corner of every cell."""
-    return itertools.product(*[(slice(0, n - 1), slice(1, n)) for n in grid.shape])
+def _corner_slices(shape):
+    """Per cell corner, in corner order, the index that selects that corner of every cell of a node array of this shape."""
+    return itertools.product(*[(slice(0, n - 1), slice(1, n)) for n in shape])
+
+
+def _slab_blocks(grid):
+    """Slices of consecutive x1 cell slabs, each of at most smallmat.BATCH_BLOCK cells but at least one slab.
+
+    A slab holds at least two cells (every axis has at least 3 nodes), so no
+    block's GEMM is a single row, which numpy would hand to GEMV and round
+    differently from the same row of a larger product.
+    """
+    c1 = grid.cshape[0]
+    step = max(1, smallmat.BATCH_BLOCK // math.prod(grid.cshape[1:]))
+    return [slice(a, min(a + step, c1)) for a in range(0, c1, step)]
+
+
+def _nodes(cells):
+    """The x1 node slice spanned by a slice of x1 cell slabs."""
+    return slice(cells.start, cells.stop + 1)
+
+
+def _scatter_add(out, U, dim):
+    """Add per-cell corner values U, corner axis last, into the nodal array out of those cells, in corner order."""
+    for s, u in zip(_corner_slices(out.shape[:dim]), np.moveaxis(U, -1, 0)):
+        out[s] += u
 
 
 def corner_gather(f, grid):
-    """Stack the 2^dim corner values of every cell, corner axis last: (*shape, *) -> (*cshape, *, 2^dim)."""
-    return np.stack([f[s] for s in _corner_slices(grid)], axis=-1)
+    """Stack the 2^dim corner values of every cell, corner axis last: (*shape, *) -> (*cshape, *, 2^dim).
+
+    shape is f's own leading node shape, so a block of the grid's x1 node
+    planes gathers the cells between them.
+    """
+    dim = len(grid.shape)
+    return np.stack([f[s] for s in _corner_slices(f.shape[:dim])], axis=-1)
 
 
 def corner_scatter(U, grid):
     """Adjoint of corner_gather: add per-cell corner values into a nodal array."""
     out = np.zeros(grid.shape + U.shape[len(grid.shape) : -1])
-    for s, u in zip(_corner_slices(grid), np.moveaxis(U, -1, 0)):
-        out[s] += u
+    _scatter_add(out, U, len(grid.shape))
     return out
 
 
@@ -258,19 +288,23 @@ def gradient_second_moments(phi, grid, eps=1.0):
 
     Returns G2 with shape cshape + (dim, dim), G2 = sum_g w_g grad phi (x) grad phi
     with weights summing to the cell measure, so sum(coef * G2) is the
-    quadratic form that local_stiffness assembles. The gradients at all
-    Gauss points come from one matmul against the cached
-    (2^dim, 2^dim * dim) table of the shape gradients at those points; the
-    per-cell product takes their transpose as a C-ordered copy (numpy's
-    stacked matmul on the transposed view runs several times slower).
+    quadratic form that local_stiffness assembles. Per block of x1 cell
+    slabs, the gradients at all Gauss points come from one matmul against
+    the cached (2^dim, 2^dim * dim) table of the shape gradients at those
+    points; the per-cell product takes their transpose as a C-ordered copy
+    (numpy's stacked matmul on the transposed view runs several times slower).
     """
     dim = len(grid.shape)
     w = math.prod(grid.spacing) / 2**dim
     V = grid._cached(("gauss_gradients", eps), lambda: _gauss_gradients(grid, eps))
-    g = (corner_gather(np.asarray(phi, dtype=float), grid).reshape(-1, 2**dim) @ V).reshape(-1, 2**dim, dim)
-    G2 = np.ascontiguousarray(np.swapaxes(g, 1, 2)) @ g
+    phi = np.asarray(phi, dtype=float)
+    G2 = np.empty(grid.cshape + (dim, dim))
+    for cells in _slab_blocks(grid):
+        g = (corner_gather(phi[_nodes(cells)], grid).reshape(-1, 2**dim) @ V).reshape(-1, 2**dim, dim)
+        np.matmul(np.ascontiguousarray(np.swapaxes(g, 1, 2)), g, out=G2[cells].reshape(-1, dim, dim))
+        del g  # not alive while the next block's is formed
     G2 *= w
-    return G2.reshape(grid.cshape + (dim, dim))
+    return G2
 
 
 def node_weights(grid):
@@ -285,12 +319,16 @@ def scaled_gradient(y, grid, eps, point=None):
     For a vector field y of shape (*shape, m) returns G of shape
     (*cshape, m, dim) with G[..., k, j] = d y_k / d x_j at the given local
     point (default: cell center), on a Grid3 the j = x3 column scaled by
-    1/eps. A scalar field returns (*cshape, dim). One matmul of the
-    corner values against the shape-gradient table.
+    1/eps. A scalar field returns (*cshape, dim). Per block of x1 cell
+    slabs, one matmul of the corner values against the shape-gradient table.
     """
+    dim = len(grid.shape)
     V = shape_gradients(grid, eps, point)
-    U = corner_gather(np.asarray(y, dtype=float), grid)
-    return (U.reshape(-1, U.shape[-1]) @ V).reshape(U.shape[:-1] + V.shape[-1:])
+    y = np.asarray(y, dtype=float)
+    G = np.empty(grid.cshape + y.shape[dim:] + (dim,))
+    for cells in _slab_blocks(grid):
+        np.matmul(corner_gather(y[_nodes(cells)], grid).reshape(-1, 2**dim), V, out=G[cells].reshape(-1, dim))
+    return G
 
 
 def gradient_scatter(P, grid, eps, point=None):
@@ -298,11 +336,19 @@ def gradient_scatter(P, grid, eps, point=None):
 
     P has shape (*cshape, m, dim) (or (*cshape, dim) for scalar fields); the
     result is the nodal field ``dE/dy`` for E = sum_cells P : scaled_gradient(y).
-    One matmul of the flat rows against the transposed shape-gradient table.
+    Per block of x1 cell slabs, one matmul of the flat rows against the
+    transposed shape-gradient table, scattered into the block's nodes.
     """
+    dim = len(grid.shape)
     V = shape_gradients(grid, eps, point)
-    U = P.reshape(-1, V.shape[1]) @ V.T
-    return corner_scatter(U.reshape(P.shape[:-1] + V.shape[:1]), grid)
+    out = np.zeros(grid.shape + P.shape[dim:-1])
+    # last block first: a node on the plane two blocks share then takes the
+    # later block's low-x1 corners before the earlier block's high-x1 ones,
+    # the corner order of a single pass, so its sum rounds as in one block
+    for cells in reversed(_slab_blocks(grid)):
+        Pb = P[cells]
+        _scatter_add(out[_nodes(cells)], (Pb.reshape(-1, dim) @ V.T).reshape(Pb.shape[:-1] + (2**dim,)), dim)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +374,25 @@ def _pair_factors(grid, eps):
     return grid._cached(("hessian_factors", eps), build)
 
 
+def _hessian_pairs(y, grid, eps, H=None):
+    """Yield (i, j, H_ij) for the six pairs i <= j in order: H_ij[k] = alpha_ij(eps) d^2 y_k / dx_i dx_j per cell.
+
+    H_ij has shape (3, *cshape). Each pair applies its three axis factors in
+    turn (one matmul per axis); with H given, an (3, 3, 3, *cshape) array,
+    H_ij is written into H[i, j], otherwise it is a fresh array.
+    """
+    if eps <= 0.0:
+        raise ValueError("eps must be positive")
+    A0, A1, A2 = _pair_factors(grid, eps)
+    (n1, n2, n3), (c1, c2, c3) = grid.shape, grid.cshape
+    y = np.ascontiguousarray(np.moveaxis(y, -1, 0), dtype=float).reshape(3, n1, n2 * n3)
+    for p, (i, j) in enumerate(_PAIRS):
+        T = A1[p] @ (A0[p] @ y).reshape(3, c1, n2, n3)
+        Hij = np.empty((3,) + grid.cshape) if H is None else H[i, j]
+        np.matmul(T.reshape(-1, n3), A2[p].T, out=Hij.reshape(-1, c3))
+        yield i, j, Hij
+
+
 def scaled_hessian(y, grid, eps):
     """Cell-averaged scaled second derivatives of a nodal vector field.
 
@@ -342,18 +407,37 @@ def scaled_hessian(y, grid, eps):
     an (i, j, k, cell) array, so H.reshape(-1, 27) flattens each cell's
     block without a copy.
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    A0, A1, A2 = _pair_factors(grid, eps)
-    (n1, n2, n3), (c1, c2, c3) = grid.shape, grid.cshape
-    y = np.ascontiguousarray(np.moveaxis(y, -1, 0), dtype=float).reshape(3, n1, n2 * n3)
     H = np.empty((3, 3, 3) + grid.cshape)
-    for p, (i, j) in enumerate(_PAIRS):
-        T = A1[p] @ (A0[p] @ y).reshape(3, c1, n2, n3)
-        np.matmul(T.reshape(-1, n3), A2[p].T, out=H[i, j].reshape(-1, c3))
+    for i, j, Hij in _hessian_pairs(y, grid, eps, H):
         if i != j:
-            H[j, i] = H[i, j]
+            H[j, i] = Hij
     return np.moveaxis(H, (0, 1, 2), (3, 4, 5))
+
+
+def scaled_hessian_norm(y, grid, eps):
+    """Per-cell Frobenius norm of scaled_hessian(y, grid, eps), without forming the 27-entry Hessian.
+
+    Equal to np.sqrt(np.sum(H * H, axis=(-3, -2, -1))) of H = scaled_hessian
+    to the bit: the 27 squares are added one at a time in (i, j, k) order,
+    as that sum adds them on H's (i, j, k, cell) layout, and each pair
+    i < j is formed once and its squares kept until its mirror (j, i) comes.
+    At most three pairs, a third of the Hessian, are alive at once.
+    """
+    pairs = _hessian_pairs(y, grid, eps)
+    kept = {}
+    total = np.zeros(grid.cshape)
+    for i in range(3):
+        for j in range(3):
+            if j < i:
+                sq = kept.pop((j, i))
+            else:
+                _, _, sq = next(pairs)
+                sq *= sq
+                if i != j:
+                    kept[i, j] = sq
+            for term in sq:
+                total += term
+    return np.sqrt(total)
 
 
 def hessian_scatter(W, grid, eps):

@@ -279,16 +279,19 @@ def _hessian_norm(G):
     return np.sqrt(np.einsum("...ijk,...ijk->...", G, G))
 
 
-def H_hyper(G, eps, params):
-    """Hyperstress density eps^alpha_h * (c_h/q_h) |G|^q_h for a third-order tensor field."""
+def H_hyper(nrm, eps, params):
+    """Hyperstress density eps^alpha_h * (c_h/q_h) |G|^q_h of a third-order tensor field, from its norm nrm = |G|.
+
+    The density depends on G only through |G|, which the energy forms per cell
+    without G (fields.scaled_hessian_norm).
+    """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    nrm = _hessian_norm(np.asarray(G, dtype=float))
     return eps**params.alpha_h * (params.c_h / params.q_h) * nrm**params.q_h
 
 
 def dH_hyper(G, eps, params):
-    """Derivative of H_hyper with respect to G (zero-safe at G = 0 for q_h > 2)."""
+    """Derivative of H_hyper(|G|) with respect to G (zero-safe at G = 0 for q_h > 2)."""
     G = np.asarray(G, dtype=float)
     nrm = _hessian_norm(G)
     w = eps**params.alpha_h * params.c_h * np.where(nrm > 0.0, nrm, 1.0) ** (params.q_h - 2.0)
@@ -312,7 +315,9 @@ def kappa_pullback(F, k):
     if np.any(d <= 0.0):
         raise ValueError("kappa_pullback: det F must be positive")
     Fit = np.divide(Cof, d[..., None, None], out=Cof)
-    out = _times_k(np.ascontiguousarray(np.swapaxes(Fit, -1, -2)), np.asarray(k, dtype=float)) @ Fit
+    # F^{-T} k F^{-1} lands in the buffer of the transposed copy, which the product no longer reads
+    FitT = np.ascontiguousarray(np.swapaxes(Fit, -1, -2))
+    out = np.matmul(_times_k(FitT, np.asarray(k, dtype=float)), Fit, out=FitT)
     out *= d[..., None, None]
     return out
 

@@ -12,12 +12,18 @@ the determinant from one pass for callers that need F^{-1} and det F.
 
 import numpy as np
 
+# Batched kernels that work block by block (the polar loop here, the Q1 cell
+# kernels of fields) take at most this many matrices or cells at a time: a
+# block's scratch is then a few hundred kB whatever the grid, and the
+# 17x17x9 grid of the shipped solve3d run (2048 cells) is a single block.
+# No result depends on it.
+BATCH_BLOCK = 2048
+
 __all__ = [
     "det3",
     "cofactor3",
     "cofactor_det3",
     "inv3",
-    "nearest_rotation",
     "dist_SO3_sq",
     "sym_part",
     "random_rotation",
@@ -104,11 +110,24 @@ def nearest_rotation(F):
     the rest of the batch.
     """
     F = _check_square(F, 3, "F")
-    d = det3(F)
-    if np.any(d <= 0.0):
-        raise ValueError("nearest_rotation: det F must be positive")
-    X = _polar_entry_first(np.ascontiguousarray(F.reshape(-1, 9).T).reshape(3, 3, -1))
-    return np.ascontiguousarray(X.reshape(9, -1).T).reshape(F.shape)
+    R = np.empty(F.shape)
+    _polar_blockwise(F, R.reshape(-1, 9), lambda Fe: _polar_entry_first(Fe).reshape(9, -1).T)
+    return R
+
+
+def _polar_blockwise(F, rows, kernel):
+    """rows[block] = kernel(F_e) per block of at most BATCH_BLOCK matrices of a finite (..., 3, 3) F.
+
+    block slices the flattened batch, and F_e is the block's entry-first
+    (3, 3, n) C-ordered copy of F, alive only during its kernel call. Raises
+    where det F <= 0.
+    """
+    matrices = F.reshape(-1, 3, 3)
+    for start in range(0, len(matrices), BATCH_BLOCK):
+        block = matrices[start : start + BATCH_BLOCK]
+        if np.any(det3(block) <= 0.0):
+            raise ValueError("nearest_rotation: det F must be positive")
+        rows[start : start + BATCH_BLOCK] = kernel(np.ascontiguousarray(block.reshape(-1, 9).T).reshape(3, 3, -1))
 
 
 def _polar_entry_first(X):
@@ -140,11 +159,25 @@ def _polar_entry_first(X):
 def dist_SO3_sq(F):
     """Squared Frobenius distance |F - nearest_rotation(F)|^2 of F to the rotation group, for det F > 0 (batched).
 
-    Raises ValueError, through nearest_rotation, where det F <= 0.
+    Equal to np.sum((F - nearest_rotation(F)) ** 2, axis=(-2, -1)) to the
+    bit, read off each block's entry-first polar iterate: numpy sums each
+    matrix's nine squares pairwise, eight in a tree and then the ninth, and
+    that order is written out here. Raises ValueError where det F <= 0.
     """
     F = _check_square(F, 3, "F")
-    out = np.sum((F - nearest_rotation(F)) ** 2, axis=(-2, -1))
+    out = np.empty(F.shape[:-2])
+    _polar_blockwise(F, out.reshape(-1), _dist_entry_first)
     return out if F.ndim > 2 else float(out)
+
+
+def _dist_entry_first(Fe):
+    """Per matrix of an entry-first (3, 3, n) batch, the sum of its nine squared differences to its polar factor."""
+    X = _polar_entry_first(Fe)
+    D = np.subtract(Fe, X, out=X).reshape(9, -1)
+    D *= D
+    d = ((D[0] + D[1]) + (D[2] + D[3])) + ((D[4] + D[5]) + (D[6] + D[7]))
+    d += D[8]
+    return d
 
 
 def random_rotation(rng):

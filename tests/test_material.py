@@ -188,16 +188,16 @@ def test_w_el_quartic_in_skew_directions():
 
 def test_h_hyper_pinned_values():
     p = HyperParams()
-    assert H_hyper(np.zeros((3, 3, 3)), 0.5, p) == 0.0
+    assert H_hyper(0.0, 0.5, p) == 0.0
     rng = np.random.default_rng(1)
     G = rng.standard_normal((3, 3, 3))
     G /= np.linalg.norm(G)
-    assert abs(H_hyper(G, 1.0, p) - p.c_h / p.q_h) < 1e-12
+    assert abs(H_hyper(np.linalg.norm(G), 1.0, p) - p.c_h / p.q_h) < 1e-12
     # eps enters only through the prefactor
     eps = 0.25
-    assert abs(H_hyper(G, eps, p) - eps**p.alpha_h * H_hyper(G, 1.0, p)) < 1e-20
+    assert abs(H_hyper(np.linalg.norm(G), eps, p) - eps**p.alpha_h * H_hyper(np.linalg.norm(G), 1.0, p)) < 1e-20
     with pytest.raises(ValueError):
-        H_hyper(G, 0.0, p)
+        H_hyper(np.linalg.norm(G), 0.0, p)
 
 
 def test_dh_hyper_matches_finite_differences():
@@ -211,22 +211,23 @@ def test_dh_hyper_matches_finite_differences():
         for idx in np.ndindex(3, 3, 3):
             E = np.zeros((3, 3, 3))
             E[idx] = step
-            fd[idx] = (H_hyper(G + E, eps, p) - H_hyper(G - E, eps, p)) / (2.0 * step)
+            fd[idx] = (H_hyper(np.linalg.norm(G + E), eps, p) - H_hyper(np.linalg.norm(G - E), eps, p)) / (2.0 * step)
         scale = max(np.max(np.abs(D)), 1e-12)
         assert np.max(np.abs(D - fd)) < 1e-6 * scale
     assert np.all(dH_hyper(np.zeros((3, 3, 3)), eps, p) == 0.0)
 
 
 def test_hessian_norms_equal_the_summed_square_on_the_scaled_hessian_layout():
-    # H_hyper and dH_hyper sum the 27 squares without forming G * G; on
-    # scaled_hessian's (i, j, k, cell) layout they equal the sum(G * G) form
-    # to the bit
+    # dH_hyper sums the 27 squares without forming G * G, and
+    # fields.scaled_hessian_norm without forming G; on scaled_hessian's
+    # (i, j, k, cell) layout both equal the sum(G * G) form to the bit
     p = HyperParams(c_h=1.3)
     rng = np.random.default_rng(21)
     for shape, eps in (((5, 4, 6), 1.0), ((9, 8, 5), 0.25), ((17, 17, 9), 1.0 / 32)):
-        G = fields.scaled_hessian(rng.standard_normal(shape + (3,)), Grid3(*shape), eps)
+        y = rng.standard_normal(shape + (3,))
+        G = fields.scaled_hessian(y, Grid3(*shape), eps)
         nrm = np.sqrt(np.sum(G * G, axis=(-3, -2, -1)))
-        assert np.array_equal(H_hyper(G, eps, p), eps**p.alpha_h * (p.c_h / p.q_h) * nrm**p.q_h)
+        assert np.array_equal(fields.scaled_hessian_norm(y, Grid3(*shape), eps), nrm)
         w = eps**p.alpha_h * p.c_h * nrm ** (p.q_h - 2.0)
         assert np.array_equal(dH_hyper(G, eps, p), w[..., None, None, None] * G)
 

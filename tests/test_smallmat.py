@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from thinvolt import smallmat
 from thinvolt.relaxation import effective_permittivity
 from thinvolt.smallmat import (
     QuadForm2,
@@ -149,6 +150,25 @@ def test_polar_loop_on_entry_first_rows_equals_the_matrix_first_loop_to_the_bit(
     F1 = F[0].copy()
     nearest_rotation(F1)
     assert np.array_equal(F1, F[0])
+
+
+def test_polar_blocks_leave_every_bit_in_place(monkeypatch):
+    # forced blocks of 7 matrices, the last one partly filled: the polar
+    # factor equals the matrix-first loop's, and dist_SO3_sq, read off the
+    # entry-first iterate, equals the summed squares of F - R, to the bit
+    rng = np.random.default_rng(14)
+    batches = _polar_batches(rng, 40)
+    straggler = _positive_det(rng.standard_normal((12, 3, 3)))
+    straggler[9] = np.diag([1e100, 1.0, 1e-100])[[2, 0, 1]]
+    batches["50-step straggler"] = straggler
+    for block in (7, smallmat.BATCH_BLOCK):
+        monkeypatch.setattr(smallmat, "BATCH_BLOCK", block)
+        for name, F in batches.items():
+            want, _ = _polar_matrix_first(F)
+            R = nearest_rotation(F)
+            assert np.array_equal(R, want), (name, block)
+            d = dist_SO3_sq(F.reshape(-1, 2, 3, 3))
+            assert np.array_equal(d, np.sum((F - R) ** 2, axis=(-2, -1)).reshape(-1, 2)), (name, block)
 
 
 def _oriented_samples(seed, shape):
