@@ -16,7 +16,7 @@ in the test-suite), so descent methods and optimality probes agree.
 import numpy as np
 
 from . import electro3d, fields
-from .material import H_hyper, W_el, dH_hyper, dW_el, maxwell_stress_moment
+from .material import H_hyper, W_el, dW_el, hyper_weight, maxwell_stress_moment
 from .smallmat import det3, dist_SO3_sq, inv3
 
 __all__ = [
@@ -126,10 +126,10 @@ def grad_M_eps(y, grid, eps, mat):
         S *= (detM * w * scale)[:, None, None]
         piece = fields.gradient_scatter(S, grid, eps, point=(0.5, 0.5, z))
         g = piece if g is None else g + piece
-    # dH_hyper's output is fresh: scaled in place, and the Hessian dropped, one cell-Hessian array reaches the scatter
-    W = dH_hyper(fields.scaled_hessian(y, grid, eps), eps, mat.hyper)
-    W *= scale
-    g += fields.hessian_scatter(W, grid, eps)
+    H = fields.scaled_hessian(y, grid, eps)
+    c = hyper_weight(np.sqrt(fields.hessian_norm_squared(H)), eps, mat.hyper)
+    c *= scale
+    g += fields.hessian_scatter(H, c, grid, eps)
     return g - g.mean(axis=(0, 1, 2))
 
 

@@ -45,6 +45,7 @@ __all__ = [
     "scaled_gradient",
     "gradient_scatter",
     "scaled_hessian",
+    "hessian_norm_squared",
     "scaled_hessian_norm",
     "hessian_scatter",
     "integrate3",
@@ -374,86 +375,86 @@ def _pair_factors(grid, eps):
     return grid._cached(("hessian_factors", eps), build)
 
 
-def _hessian_pairs(y, grid, eps, H=None):
-    """Yield (i, j, H_ij) for the six pairs i <= j in order: H_ij[k] = alpha_ij(eps) d^2 y_k / dx_i dx_j per cell.
+def _hessian_pairs(y, grid, eps):
+    """Yield H_ij for the six pairs i <= j in _PAIRS order: H_ij[k] = alpha_ij(eps) d^2 y_k / dx_i dx_j per cell.
 
-    H_ij has shape (3, *cshape). Each pair applies its three axis factors in
-    turn (one matmul per axis); with H given, an (3, 3, 3, *cshape) array,
-    H_ij is written into H[i, j], otherwise it is a fresh array.
+    Each H_ij is a fresh (3, *cshape) array; each pair applies its three
+    axis factors in turn (one matmul per axis).
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     A0, A1, A2 = _pair_factors(grid, eps)
     (n1, n2, n3), (c1, c2, c3) = grid.shape, grid.cshape
     y = np.ascontiguousarray(np.moveaxis(y, -1, 0), dtype=float).reshape(3, n1, n2 * n3)
-    for p, (i, j) in enumerate(_PAIRS):
+    for p in range(len(_PAIRS)):
         T = A1[p] @ (A0[p] @ y).reshape(3, c1, n2, n3)
-        Hij = np.empty((3,) + grid.cshape) if H is None else H[i, j]
-        np.matmul(T.reshape(-1, n3), A2[p].T, out=Hij.reshape(-1, c3))
-        yield i, j, Hij
+        yield (T.reshape(-1, n3) @ A2[p].T).reshape(3, c1, c2, c3)
 
 
 def scaled_hessian(y, grid, eps):
-    """Cell-averaged scaled second derivatives of a nodal vector field.
+    """Cell-averaged scaled second derivatives of a nodal vector field, as its six distinct index pairs.
 
-    Returns H of shape (nc1,nc2,nc3,3,3,3) with
-    H[..., i, j, k] = alpha_ij(eps) * d^2 y_k / dx_i dx_j, where alpha is
-    1/eps^2 for i=j=3, 1/eps when exactly one index is 3, and 1 otherwise.
-    Nodal second differences are central in the interior and one-sided at
-    the boundary (exact on quadratics), then averaged over cell corners.
-
-    Sum-factorised: each pair i <= j applies its three axis factors in turn
-    (one matmul per axis) and fills slots (i, j) and (j, i). H is a view of
-    an (i, j, k, cell) array, so H.reshape(-1, 27) flattens each cell's
-    block without a copy.
+    Returns H of shape (6, 3, nc1, nc2, nc3) with
+    H[p, k] = alpha_ij(eps) * d^2 y_k / dx_i dx_j for the p-th pair (i, j)
+    of _PAIRS, i <= j, where alpha is 1/eps^2 for i=j=3, 1/eps when exactly
+    one index is 3, and 1 otherwise; the pair (j, i) is the same. Nodal
+    second differences are central in the interior and one-sided at the
+    boundary (exact on quadratics), then averaged over cell corners.
     """
-    H = np.empty((3, 3, 3) + grid.cshape)
-    for i, j, Hij in _hessian_pairs(y, grid, eps, H):
-        if i != j:
-            H[j, i] = Hij
-    return np.moveaxis(H, (0, 1, 2), (3, 4, 5))
+    H = np.empty((len(_PAIRS), 3) + grid.cshape)
+    for p, Hp in enumerate(_hessian_pairs(y, grid, eps)):
+        H[p] = Hp
+    return H
+
+
+def _square_sum(squares, cshape):
+    """Per-cell sum of the 27 squares of a scaled Hessian, from its six pairs' squares given in _PAIRS order.
+
+    The squares are added one at a time in (i, j, k) order, as
+    np.sum(H27 * H27, axis=(-3, -2, -1)) adds them on a 27-entry Hessian
+    laid out (i, j, k, cell); each pair i < j's squares are kept until its
+    mirror (j, i) comes, so at most three pairs' squares are alive at once.
+    """
+    kept = {}
+    total = np.zeros(cshape)
+    for i in range(3):
+        for j in range(3):
+            sq = kept.pop((j, i)) if j < i else next(squares)
+            if i < j:
+                kept[i, j] = sq
+            for term in sq:
+                total += term
+    return total
+
+
+def hessian_norm_squared(H):
+    """Per-cell squared Frobenius norm of the 27-entry scaled Hessian whose six pairs H (from scaled_hessian) holds."""
+    return _square_sum((Hp * Hp for Hp in H), H.shape[2:])
 
 
 def scaled_hessian_norm(y, grid, eps):
-    """Per-cell Frobenius norm of scaled_hessian(y, grid, eps), without forming the 27-entry Hessian.
+    """Per-cell Frobenius norm of the scaled Hessian of y, streaming its pairs: at most three are alive at once.
 
-    Equal to np.sqrt(np.sum(H * H, axis=(-3, -2, -1))) of H = scaled_hessian
-    to the bit: the 27 squares are added one at a time in (i, j, k) order,
-    as that sum adds them on H's (i, j, k, cell) layout, and each pair
-    i < j is formed once and its squares kept until its mirror (j, i) comes.
-    At most three pairs, a third of the Hessian, are alive at once.
+    Equal to np.sqrt(hessian_norm_squared(scaled_hessian(y, grid, eps))) to the bit.
     """
-    pairs = _hessian_pairs(y, grid, eps)
-    kept = {}
-    total = np.zeros(grid.cshape)
-    for i in range(3):
-        for j in range(3):
-            if j < i:
-                sq = kept.pop((j, i))
-            else:
-                _, _, sq = next(pairs)
-                sq *= sq
-                if i != j:
-                    kept[i, j] = sq
-            for term in sq:
-                total += term
-    return np.sqrt(total)
+    return np.sqrt(_square_sum((np.multiply(Hp, Hp, out=Hp) for Hp in _hessian_pairs(y, grid, eps)), grid.cshape))
 
 
-def hessian_scatter(W, grid, eps):
-    """Adjoint of scaled_hessian: nodal dE/dy for E = sum_cells W : scaled_hessian(y).
+def hessian_scatter(H, c, grid, eps):
+    """Adjoint of scaled_hessian applied to c H, for a per-cell coefficient c (cshape).
 
-    The transposed factors in reverse order, once per pair i <= j on
-    W_ij + W_ji. A W laid out like scaled_hessian's H (as products with H
-    are) is read without a copy.
+    The nodal dE/dy for E = sum_cells c * (H : scaled_hessian(y)) over all
+    27 entries, so each off-diagonal pair counts twice: the transposed
+    factors in reverse order, once per pair on c H_ij (times 2 for i < j).
     """
     A0, A1, A2 = _pair_factors(grid, eps)
     (n1, n2, n3), (c1, c2, c3) = grid.shape, grid.cshape
-    W = np.ascontiguousarray(np.moveaxis(W, (3, 4, 5), (0, 1, 2)), dtype=float)
     out = np.zeros((3, n1, n2 * n3))
     for p, (i, j) in enumerate(_PAIRS):
-        Wp = W[i, j] if i == j else W[i, j] + W[j, i]
-        T = A1[p].T @ (Wp.reshape(-1, c3) @ A2[p]).reshape(3, c1, c2, n3)
+        W = c * H[p]
+        if i != j:
+            W *= 2.0
+        T = A1[p].T @ (W.reshape(-1, c3) @ A2[p]).reshape(3, c1, c2, n3)
         out += A0[p].T @ T.reshape(3, c1, n2 * n3)
     return np.moveaxis(out.reshape(3, n1, n2, n3), 0, -1)
 

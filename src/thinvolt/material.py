@@ -33,7 +33,7 @@ __all__ = [
     "dW_el",
     "Q3_form",
     "H_hyper",
-    "dH_hyper",
+    "hyper_weight",
     "kappa_pullback",
     "maxwell_stress_moment",
 ]
@@ -270,15 +270,6 @@ def Q3_form(params):
 # hyperstress
 
 
-def _hessian_norm(G):
-    """|G| per cell of a third-order tensor field, summing the 27 squares without forming G * G.
-
-    On scaled_hessian's (i, j, k, cell) layout this equals
-    sqrt(sum(G * G, axis=(-3, -2, -1))) to the bit.
-    """
-    return np.sqrt(np.einsum("...ijk,...ijk->...", G, G))
-
-
 def H_hyper(nrm, eps, params):
     """Hyperstress density eps^alpha_h * (c_h/q_h) |G|^q_h of a third-order tensor field, from its norm nrm = |G|.
 
@@ -290,13 +281,10 @@ def H_hyper(nrm, eps, params):
     return eps**params.alpha_h * (params.c_h / params.q_h) * nrm**params.q_h
 
 
-def dH_hyper(G, eps, params):
-    """Derivative of H_hyper(|G|) with respect to G (zero-safe at G = 0 for q_h > 2)."""
-    G = np.asarray(G, dtype=float)
-    nrm = _hessian_norm(G)
+def hyper_weight(nrm, eps, params):
+    """The weight w = eps^alpha_h * c_h |G|^(q_h - 2) of d H_hyper / d G = w G, from nrm = |G|; zero where nrm is (q_h > 2)."""
     w = eps**params.alpha_h * params.c_h * np.where(nrm > 0.0, nrm, 1.0) ** (params.q_h - 2.0)
-    w = np.where(nrm > 0.0, w, 0.0)
-    return w[..., None, None, None] * G
+    return np.where(nrm > 0.0, w, 0.0)
 
 
 # ---------------------------------------------------------------------------

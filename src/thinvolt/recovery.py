@@ -238,12 +238,13 @@ def two_level_metric(y, grid, eps, rq):
 
 
 def _mollifier_evaluation(v, d, grid, eps, tau, q_h):
-    """(objective, (v, G, H, |G|^2, |H|^2)): the smoothing objective with the derivatives and per-cell squared norms it took."""
+    """(objective, (v, G, H, |G|^2, |H|^2)): the smoothing objective with the derivatives (H as six pairs) and squared norms it took."""
     v = np.asarray(v, dtype=float)
     d = np.asarray(d, dtype=float)
     G = fields.scaled_gradient(v, grid, 1.0)
     H = fields.scaled_hessian(v, grid, 1.0)
-    g2, h2 = (np.einsum("nk,nk->n", X, X).reshape(grid.cshape) for X in (G.reshape(-1, 9), H.reshape(-1, 27)))
+    g2 = np.einsum("nk,nk->n", G.reshape(-1, 9), G.reshape(-1, 9)).reshape(grid.cshape)
+    h2 = fields.hessian_norm_squared(H)
     pen = (eps**tau / q_h) * fields.integrate3(g2 ** (q_h / 2.0) + h2 ** (q_h / 2.0), grid)
     fid = 0.5 * float(np.sum(grid.node_measure()[..., None] * (v - d) ** 2))
     return pen + fid, (v, G, H, g2, h2)
@@ -264,7 +265,7 @@ def _mollifier_gradient(state, d, grid, eps, tau, q_h):
     v, G, H, g2, h2 = state
     scale = eps**tau * grid.cell_volume
     out = fields.gradient_scatter(scale * _norm_weight(g2, q_h)[..., None, None] * G, grid, 1.0)
-    out += fields.hessian_scatter(scale * _norm_weight(h2, q_h)[..., None, None, None] * H, grid, 1.0)
+    out += fields.hessian_scatter(H, scale * _norm_weight(h2, q_h), grid, 1.0)
     out += grid.node_measure()[..., None] * (v - d)
     return out
 

@@ -1,6 +1,7 @@
 import functools
 import math
 
+import hessian27
 import numpy as np
 import pytest
 
@@ -109,14 +110,16 @@ def test_gradient_scatter_adjoint():
 
 
 def test_hessian_scatter_adjoint():
-    # two grids with three distinct node counts, ordered both ways
+    # u . hessian_scatter(H(y), c) = sum_cells c (H(y) : H(u)) over all 27
+    # entries, on two grids with three distinct node counts, ordered both ways
     eps = 0.25
     rng = np.random.default_rng(5)
     for g in (Grid3(6, 5, 4), Grid3(5, 6, 7)):
-        y = rng.standard_normal(g.shape + (3,))
-        P = rng.standard_normal(g.cshape + (3, 3, 3))
-        lhs = np.sum(fields.scaled_hessian(y, g, eps) * P)
-        rhs = np.sum(y * fields.hessian_scatter(P, g, eps))
+        y, u = rng.standard_normal((2,) + g.shape + (3,))
+        c = rng.standard_normal(g.cshape)
+        H27y, H27u = (hessian27.full(fields.scaled_hessian(f, g, eps)) for f in (y, u))
+        lhs = np.sum(c[..., None, None, None] * H27y * H27u)
+        rhs = np.sum(u * fields.hessian_scatter(fields.scaled_hessian(y, g, eps), c, g, eps))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
@@ -156,20 +159,19 @@ def test_scaled_hessian_and_scatter_match_kronecker_reference(eps):
     rng = np.random.default_rng(11)
     for g in (Grid3(6, 5, 4), Grid3(5, 6, 7)):
         y = rng.standard_normal(g.shape + (3,))
-        W = rng.standard_normal(g.cshape + (3, 3, 3))  # not symmetric in (i, j)
+        P = rng.standard_normal((6, 3) + g.cshape)  # any six pairs, not a Hessian
+        c = rng.standard_normal(g.cshape)
         H = fields.scaled_hessian(y, g, eps)
+        assert H.shape == (6, 3) + g.cshape
         out = np.zeros((math.prod(g.shape), 3))
-        for i in range(3):
-            for j in range(3):
-                K = _hessian_kron(g, eps, i, j)
-                ref = (K @ y.reshape(-1, 3)).reshape(g.cshape + (3,))
-                assert np.max(np.abs(H[..., i, j, :] - ref)) <= 1e-12 * np.max(np.abs(ref))
-                out += K.T @ W[..., i, j, :].reshape(-1, 3)
-        out = out.reshape(g.shape + (3,))
-        # W in C order, and W laid out like H (as a product with H is)
-        for W_in in (W, W + 0.0 * H):
-            scatter = fields.hessian_scatter(W_in, g, eps)
-            assert np.max(np.abs(scatter - out)) <= 1e-12 * np.max(np.abs(out))
+        for p, (i, j) in enumerate(fields._PAIRS):
+            K = _hessian_kron(g, eps, i, j)
+            ref = np.moveaxis((K @ y.reshape(-1, 3)).reshape(g.cshape + (3,)), -1, 0)
+            assert np.max(np.abs(H[p] - ref)) <= 1e-12 * np.max(np.abs(ref))
+            # the scatter of c H counts each off-diagonal pair twice, as the 27-entry sum does
+            out += (1 if i == j else 2) * K.T @ np.moveaxis(c * P[p], 0, -1).reshape(-1, 3)
+        scatter = fields.hessian_scatter(P, c, g, eps)
+        assert np.max(np.abs(scatter - out.reshape(g.shape + (3,)))) <= 1e-12 * np.max(np.abs(out))
 
 
 def test_scaled_gradient_exact_on_trilinear():
@@ -196,12 +198,13 @@ def test_scaled_hessian_quadratic_exactness():
     ref[0, 0] = 2.0
     ref[1, 1] = 1.0
     ref[2, 2] = 2.0 / eps  # eps * x3^2 second derivative 2*eps, scaled 1/eps^2
-    ref[0, 1] = ref[1, 0] = 1.0
-    ref[0, 2] = ref[2, 0] = 1.0 / eps
-    ref[1, 2] = ref[2, 1] = 2.0 / eps
-    # layout: H[..., i, j, k] = alpha_ij d^2 y_k / dx_i dx_j
-    assert np.max(np.abs(H[..., :, :, 0] - ref)) <= 1e-11
-    assert np.max(np.abs(H[..., :, :, 1])) <= 1e-11
+    ref[0, 1] = 1.0
+    ref[0, 2] = 1.0 / eps
+    ref[1, 2] = 2.0 / eps
+    # layout: H[p, k] = alpha_ij d^2 y_k / dx_i dx_j for the p-th pair (i, j), i <= j
+    for p, (i, j) in enumerate(fields._PAIRS):
+        assert np.max(np.abs(H[p, 0] - ref[i, j])) <= 1e-11
+    assert np.max(np.abs(H[:, 1:])) <= 1e-11
 
 
 def test_gauss_points():

@@ -1,5 +1,6 @@
 import warnings
 
+import hessian27
 import numpy as np
 import pytest
 
@@ -17,8 +18,8 @@ from thinvolt.material import (
     Q3_form,
     W_el,
     check_exponent_compatibility,
-    dH_hyper,
     dW_el,
+    hyper_weight,
     kappa_pullback,
     maxwell_stress_moment,
 )
@@ -201,12 +202,13 @@ def test_h_hyper_pinned_values():
 
 
 def test_dh_hyper_matches_finite_differences():
+    # d H_hyper / d G = hyper_weight(|G|) G, against central differences of H_hyper(|G|)
     p = HyperParams(q_h=4.0, alpha_h=10.5, c_h=2.0)
     rng = np.random.default_rng(7)
     eps, step = 0.8, 1e-5
     for _ in range(5):
         G = 1.5 * rng.standard_normal((3, 3, 3))
-        D = dH_hyper(G, eps, p)
+        D = hyper_weight(np.linalg.norm(G), eps, p) * G
         fd = np.zeros((3, 3, 3))
         for idx in np.ndindex(3, 3, 3):
             E = np.zeros((3, 3, 3))
@@ -214,22 +216,28 @@ def test_dh_hyper_matches_finite_differences():
             fd[idx] = (H_hyper(np.linalg.norm(G + E), eps, p) - H_hyper(np.linalg.norm(G - E), eps, p)) / (2.0 * step)
         scale = max(np.max(np.abs(D)), 1e-12)
         assert np.max(np.abs(D - fd)) < 1e-6 * scale
-    assert np.all(dH_hyper(np.zeros((3, 3, 3)), eps, p) == 0.0)
+    # zero-safe at G = 0: a zero weight, with no warning for any q_h > 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for q_h in (4.0, 3.5):
+            assert np.all(hyper_weight(np.zeros(4), eps, HyperParams(q_h=q_h, alpha_h=11.0)) == 0.0)
 
 
 def test_hessian_norms_equal_the_summed_square_on_the_scaled_hessian_layout():
-    # dH_hyper sums the 27 squares without forming G * G, and
-    # fields.scaled_hessian_norm without forming G; on scaled_hessian's
-    # (i, j, k, cell) layout both equal the sum(G * G) form to the bit
+    # fields.hessian_norm_squared sums the six pairs' squares and
+    # fields.scaled_hessian_norm streams them; both equal the sum(G * G) form
+    # of the 27-entry G laid out (i, j, k, cell) to the bit, and the weight
+    # taken from that norm is the formula's
     p = HyperParams(c_h=1.3)
     rng = np.random.default_rng(21)
     for shape, eps in (((5, 4, 6), 1.0), ((9, 8, 5), 0.25), ((17, 17, 9), 1.0 / 32)):
         y = rng.standard_normal(shape + (3,))
-        G = fields.scaled_hessian(y, Grid3(*shape), eps)
-        nrm = np.sqrt(np.sum(G * G, axis=(-3, -2, -1)))
-        assert np.array_equal(fields.scaled_hessian_norm(y, Grid3(*shape), eps), nrm)
-        w = eps**p.alpha_h * p.c_h * nrm ** (p.q_h - 2.0)
-        assert np.array_equal(dH_hyper(G, eps, p), w[..., None, None, None] * G)
+        H = fields.scaled_hessian(y, Grid3(*shape), eps)
+        G = hessian27.full(H)
+        n2 = np.sum(G * G, axis=(-3, -2, -1))
+        assert np.array_equal(fields.hessian_norm_squared(H), n2)
+        assert np.array_equal(fields.scaled_hessian_norm(y, Grid3(*shape), eps), np.sqrt(n2))
+        assert np.array_equal(hyper_weight(np.sqrt(n2), eps, p), eps**p.alpha_h * p.c_h * np.sqrt(n2) ** (p.q_h - 2.0))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import gc
 import weakref
 
+import hessian27
 import numpy as np
 import pytest
 
@@ -250,6 +251,37 @@ def test_mollifier_gradient_matches_central_differences():
             down = mollifier_objective(v - h * u, d, grid3, eps, tau, q_h)
             fd = (up - down) / (2.0 * h)
             assert abs(fd - np.sum(g * u)) <= 1e-6 * abs(fd)
+
+
+def test_mollifier_evaluation_and_gradient_are_the_27_entry_expressions_to_the_bit():
+    # the mollifier takes |H|^2 from the six Hessian pairs and scatters
+    # c H, c = scale |H|^(q_h - 2); the expressions on the 27-entry Hessian
+    # they replaced give the same bits where scale = eps^tau * cell volume is
+    # a power of two, as on the bench's grid: 2^-15 here, 17x17x9 at eps 1/4
+    # and tau 2. Elsewhere the last bit may differ.
+    from thinvolt.recovery import _mollifier_evaluation, _mollifier_gradient, _norm_weight
+
+    grid3 = Grid3(17, 17, 9)
+    eps, q_h = 0.25, 4.0
+    tau = 0.5 * q_h
+    scale = eps**tau * grid3.cell_volume
+    assert scale == 2.0**-15
+    rng = np.random.default_rng(13)
+    d = np.zeros(grid3.shape + (3,))
+    d[..., 2] = 0.1 * np.sin(np.pi * grid3.x1)[:, None, None]
+    v = d + 1e-3 * rng.standard_normal(d.shape)
+    G = fields.scaled_gradient(v, grid3, 1.0)
+    H = hessian27.hessian(v, grid3, 1.0)
+    g2, h2 = (np.einsum("nk,nk->n", X, X).reshape(grid3.cshape) for X in (G.reshape(-1, 9), H.reshape(-1, 27)))
+    pen = (eps**tau / q_h) * fields.integrate3(g2 ** (q_h / 2.0) + h2 ** (q_h / 2.0), grid3)
+    fid = 0.5 * float(np.sum(grid3.node_measure()[..., None] * (v - d) ** 2))
+    grad = fields.gradient_scatter(scale * _norm_weight(g2, q_h)[..., None, None] * G, grid3, 1.0)
+    grad += hessian27.scatter(scale * _norm_weight(h2, q_h)[..., None, None, None] * H, grid3, 1.0)
+    grad += grid3.node_measure()[..., None] * (v - d)
+    f, state = _mollifier_evaluation(v, d, grid3, eps, tau, q_h)
+    assert f == pen + fid
+    assert np.array_equal(state[-1], h2)
+    assert np.array_equal(_mollifier_gradient(state, d, grid3, eps, tau, q_h), grad)
 
 
 def test_mollifier_iteration_cap_is_reported():
