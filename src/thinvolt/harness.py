@@ -8,6 +8,7 @@ checks pass (1 on check failure, 2 on configuration problems).
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -50,22 +51,6 @@ class ConfigError(Exception):
     """Configuration rejected before any computation."""
 
 
-# every key of every config section, with its kind: "number" (finite),
-# "positive", "count" (a positive integer), "matrix" (3x3 numbers) or "text";
-# the material sections carry the field names of their dataclasses, as plain
-# numbers: the dataclasses check their admissible ranges
-_SECTIONS = {
-    "grid": {"n1": "count", "n2": "count", "n3": "count", "n1_2d": "count", "n2_2d": "count"},
-    "elastic": {"mu": "number", "lam": "number", "q_w": "number"},
-    "hyper": {"q_h": "number", "alpha_h": "number", "c_h": "number"},
-    "prestrain": {"B0": "matrix", "B1": "matrix"},
-    "permittivity": {"k": "matrix"},
-    "charge": {"mode": "text", "amplitude": "number"},
-    "coupling": {"beta": "number", "gamma": "number"},
-    "isometry": {"kind": "text", "offset": "number", "slope": "number", "amplitude": "number"},
-    "solver": {"poisson_tol": "positive", "grad_tol": "positive", "max_iters": "count"},
-    "output": {"dir": "text"},
-}
 _MATERIAL = {
     "elastic": ElasticParams,
     "hyper": HyperParams,
@@ -73,6 +58,18 @@ _MATERIAL = {
     "permittivity": PermittivityModel,
     "charge": ChargeModel,
     "coupling": CouplingConstants,
+}
+_FIELD_KINDS = {float: "number", str: "text", np.ndarray: "matrix"}
+# every key of every config section, with its kind: "number" (finite),
+# "positive", "count" (a positive integer), "matrix" (3x3 numbers) or "text";
+# the material sections are the fields of their dataclasses, as plain
+# numbers: the dataclasses check their admissible ranges
+_SECTIONS = {
+    "grid": {"n1": "count", "n2": "count", "n3": "count", "n1_2d": "count", "n2_2d": "count"},
+    **{name: {f.name: _FIELD_KINDS[f.type] for f in dataclasses.fields(model)} for name, model in _MATERIAL.items()},
+    "isometry": {"kind": "text", "offset": "number", "slope": "number", "amplitude": "number"},
+    "solver": {"poisson_tol": "positive", "grad_tol": "positive", "max_iters": "count"},
+    "output": {"dir": "text"},
 }
 
 
@@ -281,7 +278,7 @@ class NormalSampler:
 def _zero_mean_direction(shape, rng):
     v = rng.standard_normal(shape)
     v -= v.mean(axis=tuple(range(len(shape) if len(shape) <= 3 else 3)), keepdims=True)
-    n = np.linalg.norm(v)
+    n = math.sqrt(optimize.vdot(v, v))
     if n == 0.0:
         v.flat[0] = 1.0
         n = 1.0
@@ -314,7 +311,7 @@ def saddle_probe(F, point, n_probes=50, radius=1e-3, rng=None, sides=("phi", "y"
         if "y" in sides:
             # raw directions: constant modes are real degrees of freedom here
             v = rng.standard_normal(y.shape)
-            v /= max(np.linalg.norm(v), 1e-300)
+            v /= max(math.sqrt(optimize.vdot(v, v)), 1e-300)
             for s in (radius, -radius):
                 worst_y = max(worst_y, base - float(F(y + s * v, phi)))
     return {
@@ -386,14 +383,18 @@ def solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-10, grad_tol=1e-7
     _orientation_step finds at the same frozen potential, when that lowers
     its energy; the step is no gradient step, so no pair spans it. Each
     history row records the energy after the potential step and after the
-    deformation step, the gradient norm, the accepted Armijo step (0 when
-    the search failed), the weak-form residual of the solve, and the
-    phi-side saddle probe (8 probes of radius 1e-3) at the fresh potential.
-    telemetry is the run-statistics channel: a dict, when given, that every
-    potential solve adds its PCG iterations to, under "pcg_iterations",
-    every line-search and orientation trial one evaluation to, under
-    "line_search_evaluations", and that holds the orientation step's angle
-    in radians (0.0 when none is taken) under "orientation_angle".
+    deformation step, the gradient norm, the accepted Armijo step, the
+    weak-form residual of the solve, and the phi-side saddle probe (8
+    probes of radius 1e-3) at the fresh potential. A row whose gradient
+    norm is at most grad_tol ("converged") or whose search fails
+    ("line_search") records a zero step and ends the run at its point and
+    solved potential; after max_iters rows ("max_iters") the last accepted
+    point's potential is solved. telemetry is the run-statistics channel:
+    a dict, when given, that every potential solve adds its PCG iterations
+    to, under "pcg_iterations", every line-search and orientation trial one
+    evaluation to, under "line_search_evaluations", and that holds the
+    orientation angle in radians (0.0 when none is taken) under
+    "orientation_angle" and the stop under "termination".
     """
     if rng is None:
         rng = NormalSampler(0)
@@ -411,13 +412,19 @@ def solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-10, grad_tol=1e-7
         except ValueError:  # a cell centre that loses orientation: infeasible, like an infinite M_eps
             return c, m, None
 
+    def trial(c):
+        # a line-search or orientation trial at the row's frozen potential phi
+        telemetry["line_search_evaluations"] += 1
+        c, m, system = evaluate(c)
+        f = m - electro3d.electrostatic_energy(*system.energy_parts(phi)) if system is not None else np.inf
+        return f, (c, m, system)
+
     y, m_y, system = evaluate(y_init)
     if system is None:
         raise ValueError("solve3d_alternating: infeasible initial deformation")
     rq = RelaxedQ2.of(mat)
     pairs = deque(maxlen=optimize.MEMORY)
     history = []
-    converged = False
     phi = y_prev = g_prev = None
     for _ in range(int(max_iters)):
         phi = system.solve(tol=poisson_tol, x0=phi, telemetry=telemetry)
@@ -436,23 +443,15 @@ def solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-10, grad_tol=1e-7
         # dropping this one (found holds it too) keeps one alive at a time
         system = found = None
         g = elastic3d.grad_y_F_eps(y, phi, grid, eps, mat)
-        gnorm = float(np.linalg.norm(g))
-        if gnorm <= grad_tol:
-            history.append((f_phi, f_phi, gnorm, 0.0, pg0, probe["phi_side"]))
-            converged = True
-            break
-        if y_prev is not None:
-            optimize.remember_pair(pairs, y - y_prev, g - g_prev)
-        y_prev = g_prev = None  # the pairs hold what the directions need
-
-        def trial(c):
-            telemetry["line_search_evaluations"] += 1
-            c, m, system = evaluate(c)
-            f = m - electro3d.electrostatic_energy(*system.energy_parts(phi)) if system is not None else np.inf
-            return f, (c, m, system)
-
-        found = optimize.lbfgs_search(trial, y, f_phi, g, pairs, two_level_metric(y, grid, eps, rq))
-        if found is None:
+        gnorm = math.sqrt(optimize.vdot(g, g))
+        converged = gnorm <= grad_tol
+        if not converged:
+            if y_prev is not None:
+                optimize.remember_pair(pairs, y - y_prev, g - g_prev)
+            y_prev = g_prev = None  # the pairs hold what the directions need
+            found = optimize.lbfgs_search(trial, y, f_phi, g, pairs, two_level_metric(y, grid, eps, rq))
+        if found is None:  # the run ends at the point and potential this row certified
+            telemetry["termination"] = "converged" if converged else "line_search"
             history.append((f_phi, f_phi, gnorm, 0.0, pg0, probe["phi_side"]))
             break
         y_prev, g_prev = y, g
@@ -464,10 +463,10 @@ def solve3d_alternating(grid, eps, mat, y_init, poisson_tol=1e-10, grad_tol=1e-7
                 telemetry["orientation_angle"], f_y, (y, m_y, system) = found
                 y_prev = g_prev = None  # no gradient step: row 2 stores no pair, so the memory stays empty
         history.append((f_phi, f_y, gnorm, t, pg0, probe["phi_side"]))
-    if system is None:
-        system = electro3d.assemble_poisson3(y, grid, eps, mat)
-    phi = system.solve(tol=poisson_tol, x0=phi, telemetry=telemetry)
-    return y, phi, np.array(history), converged
+    else:  # every row stepped: the last accepted point has its system but no solved potential yet
+        telemetry["termination"] = "max_iters"
+        phi = system.solve(tol=poisson_tol, x0=phi, telemetry=telemetry)
+    return y, phi, np.array(history), telemetry["termination"] == "converged"
 
 
 # ---------------------------------------------------------------------------
@@ -529,13 +528,6 @@ def _cmd_sweep(cfg, out_dir):
     return 0 if summary["pass"] else 1
 
 
-def _termination(converged, history):
-    """Why solve3d_alternating stopped; a failed line search records a zero step."""
-    if converged:
-        return "converged"
-    return "line_search" if history[-1][3] == 0.0 else "max_iters"
-
-
 def _report_failure(out_dir, exc, **facts):
     """Write a failed run's summary.json (the facts, pass false and the error) and return exit code 1."""
     _write_json(os.path.join(out_dir, "summary.json"), {**facts, "error": f"{type(exc).__name__}: {exc}", "pass": False})
@@ -578,15 +570,12 @@ def _cmd_solve3d(cfg, out_dir):
         "seed": cfg.seed,
         "eps": eps,
         "converged": bool(converged),
-        "termination": _termination(converged, history),
         "iterations": len(history),
         "F_eps": float(history[-1][1]),
         "grad_norm": float(history[-1][2]),
         "worst_pg0": worst_pg0,
         "worst_phi_probe": worst_probe,
-        "pcg_iterations": telemetry["pcg_iterations"],
-        "line_search_evaluations": telemetry["line_search_evaluations"],
-        "orientation_angle": telemetry["orientation_angle"],
+        **telemetry,
         "pass": bool(finite and worst_probe <= 1e-8 and worst_pg0 <= 1e-8),
     }
     _write_json(os.path.join(out_dir, "summary.json"), summary)

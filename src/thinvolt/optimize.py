@@ -10,15 +10,24 @@ dominant part of the Hessian (a lumped mass, say) carries over into every
 step.
 """
 
+import math
 from collections import deque
 
 import numpy as np
 
-__all__ = ["MEMORY", "MAX_BACKTRACKS", "backtrack", "lbfgs", "lbfgs_search", "remember_pair"]
+__all__ = ["MEMORY", "MAX_BACKTRACKS", "VDOT_SLICE", "backtrack", "lbfgs", "lbfgs_search", "remember_pair", "vdot"]
 
 MEMORY = 10  # curvature pairs kept
 ARMIJO = 1e-4  # sufficient-decrease constant
 MAX_BACKTRACKS = 40  # trials before a line search gives up
+VDOT_SLICE = 10000  # the longest ddot the bundled OpenBLAS (0.3.31, numpy 2.4.6) sums on one thread
+
+
+def vdot(a, b):
+    """math.fsum of np.vdot over VDOT_SLICE-entry slices, as a float (one slice is np.vdot to the bit),
+    whose bits do not depend on the BLAS thread count while BLAS sums a slice on one thread."""
+    a, b = np.ravel(a), np.ravel(b)
+    return math.fsum(np.vdot(a[i : i + VDOT_SLICE], b[i : i + VDOT_SLICE]) for i in range(0, a.size, VDOT_SLICE))
 
 
 def _direction(g, pairs, inv_metric):
@@ -26,17 +35,17 @@ def _direction(g, pairs, inv_metric):
     q = g.copy()
     alphas = []
     for s, y, rho in reversed(pairs):
-        a = rho * np.vdot(s, q)
+        a = rho * vdot(s, q)
         q -= a * y
         alphas.append(a)
     if pairs:
         s, y, _ = pairs[-1]
-        gamma = np.vdot(s, y) / np.vdot(y, inv_metric(y))
+        gamma = vdot(s, y) / vdot(y, inv_metric(y))
     else:
         gamma = 1.0
     r = gamma * inv_metric(q)
     for (s, y, rho), a in zip(pairs, reversed(alphas)):
-        r += (a - rho * np.vdot(y, r)) * s
+        r += (a - rho * vdot(y, r)) * s
     return -r
 
 
@@ -48,7 +57,7 @@ def backtrack(fun, x, f, g, p):
     [0.1 t, 0.5 t] (Nocedal & Wright 2006, section 3.5); a non-finite trial
     halves it.
     """
-    slope = float(np.vdot(g, p))
+    slope = vdot(g, p)
     t = 1.0
     for _ in range(MAX_BACKTRACKS):
         cand = x + t * p
@@ -66,7 +75,7 @@ def backtrack(fun, x, f, g, p):
 
 def remember_pair(pairs, s, y):
     """Append the curvature pair (s, y, 1/s.y) to pairs when s.y > 0; pairs is a deque(maxlen=MEMORY)."""
-    sy = float(np.vdot(s, y))
+    sy = vdot(s, y)
     if sy > 0.0:
         pairs.append((s, y, 1.0 / sy))
 
@@ -113,7 +122,7 @@ def lbfgs(fun, grad, x0, inv_metric, max_iter, grad_tol):
     it = 0
     for it in range(1, int(max_iter) + 1):
         g = grad(state)
-        gnorm = float(np.linalg.norm(g))
+        gnorm = math.sqrt(vdot(g, g))
         grad_norms.append(gnorm)
         if gnorm <= grad_tol:
             stop = "converged"

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from thinvolt.optimize import MAX_BACKTRACKS, backtrack, lbfgs
+from thinvolt.optimize import MAX_BACKTRACKS, VDOT_SLICE, backtrack, lbfgs, vdot
 
 
 def _quadratic(n=40, seed=3):
@@ -217,3 +219,25 @@ def test_backtrack_gives_up_on_non_finite_trials(bad):
     x = np.array([1.0, -2.0])
     assert backtrack(fun, x, 0.0, x, -x) is None
     assert len(calls) == MAX_BACKTRACKS
+
+
+@pytest.mark.parametrize("n", [1, 7803, VDOT_SLICE])
+def test_vdot_is_np_vdot_up_to_the_slice(n):
+    # one slice is np.vdot itself, so every solver bit of a run whose vectors
+    # fit in one slice is what np.vdot gives
+    rng = np.random.default_rng(n)
+    a, b = rng.standard_normal((2, n))
+    assert VDOT_SLICE == 10000
+    assert vdot(a, b) == np.vdot(a, b) and type(vdot(a, b)) is float
+    assert vdot(a.reshape(n, 1), b.reshape(n, 1)) == np.vdot(a, b)
+
+
+def test_vdot_sums_longer_vectors_slice_by_slice():
+    # above the slice, the correctly rounded sum of the slices' np.vdot: a
+    # fixed order, whatever the number of threads BLAS splits a long ddot into
+    rng = np.random.default_rng(1)
+    a, b = rng.standard_normal((2, 10, 2 * VDOT_SLICE + 123))
+    slices = [np.vdot(a.ravel()[i : i + VDOT_SLICE], b.ravel()[i : i + VDOT_SLICE]) for i in range(0, a.size, VDOT_SLICE)]
+    assert len(slices) == 21
+    assert vdot(a, b) == math.fsum(slices)
+    assert vdot(a, b) == pytest.approx(np.vdot(a, b), rel=1e-12)
