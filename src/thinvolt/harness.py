@@ -344,22 +344,26 @@ def _orientation_step(trial, y, f_y):
     (cos 2c, sin 2c) when k couples x2 to neither x1 nor x3, so the energy
     on the orbit is alpha + beta cos 2c + gamma sin 2c. The trials at the
     two sample angles and f_y at c = 0 fix it, and c* = atan2(-gamma,
-    -beta) / 2 is its minimiser. The sample at pi/2 keeps its state, so
-    c* = pi/2 costs no third trial; the one at pi/4 is dropped at once,
-    which keeps at most one trial state besides y's alive. No step is
-    taken when the orbit is flat to within sqrt(machine eps) of f_y (an
-    isotropic k) or when the trial at c* does not lower f_y.
+    -beta) / 2 is its minimiser. The sample at pi/2 keeps its state, so a
+    c* within sqrt(machine eps) of pi/2 modulo pi, as on a start even in c
+    where gamma is round-off, costs no third trial and returns the angle
+    pi/2; the one at pi/4 is dropped at once, which keeps at most one trial
+    state besides y's alive. No step is taken when the orbit is flat to
+    within sqrt(machine eps) of f_y (an isotropic k) or when the trial at c*
+    does not lower f_y.
     """
     quarter, half = _ORIENTATION_SAMPLES
+    tol = math.sqrt(np.finfo(float).eps)
     f_quarter = trial(_rotated_about_x2(y, quarter))[0]
-    f_half, state = trial(_rotated_about_x2(y, half))
-    alpha = 0.5 * (f_y + f_half)
+    f_c, state = trial(_rotated_about_x2(y, half))
+    alpha = 0.5 * (f_y + f_c)
     beta, gamma = f_y - alpha, f_quarter - alpha
-    if not np.sqrt(np.finfo(float).eps) * abs(f_y) < math.hypot(beta, gamma) < math.inf:
+    if not tol * abs(f_y) < math.hypot(beta, gamma) < math.inf:
         return None
     c = 0.5 * math.atan2(-gamma, -beta)
-    f_c = f_half
-    if c != half:
+    if abs(math.remainder(c - half, math.pi)) <= tol:
+        c = half  # the orbit energy has period pi: the sample holds the minimum
+    else:
         state = None
         f_c, state = trial(_rotated_about_x2(y, c))
     return (c, f_c, state) if f_c < f_y else None
@@ -534,12 +538,28 @@ def _report_failure(out_dir, exc, **facts):
     return 1
 
 
+def _bending_ground_state(y0, rq):
+    """The minimiser of M0 with y0's mean angle: y0 after one Newton step on M0.
+
+    M0 is quadratic in the nodal angles, and bending_metric_inverse inverts
+    its exact Hessian on the profiles of zero sum, where grad M0 lies. The
+    step theta0 - A^-1 grad M0(theta0) therefore lands on the minimiser,
+    the curvature -b/2a of the bending density a k^2 + b k + c in every
+    cell, and keeps the mean angle of theta0, the only part of it that is
+    left.
+    """
+    step = bending2d.bending_metric_inverse(y0.grid, rq) @ bending2d.grad_M0_theta(y0, rq)
+    return CylindricalIsometry(y0.grid, y0.theta - step)
+
+
 def _cmd_solve3d(cfg, out_dir):
     eps = cfg.eps_list[0]
     grid3 = cfg.grid3()
     mat = cfg.material
     inputs = cfg.recovery_inputs(cfg.grid2())
     rq = RelaxedQ2.of(mat)
+    # the start lifts the 2D limit's bending ground state, not the configured profile
+    inputs.isometry = _bending_ground_state(inputs.isometry, rq)
     d = optimal_corrector(inputs, grid3, rq)
     y_init = lift_deformation(inputs.isometry, eps, grid3, inputs.g_matrix, d)
     rng = NormalSampler(cfg.seed)

@@ -16,6 +16,7 @@ from thinvolt.harness import (
     RunConfig,
     check_conditions,
     cli_main,
+    _bending_ground_state,
     _orientation_step,
     _rotated_about_x2,
     saddle_probe,
@@ -38,12 +39,12 @@ def _write_config(path, extra=None):
     return str(path)
 
 
-def _bending_config(path, grid, solver=None):
-    # configs/bending.json on another grid, optionally with other solver keys
-    with open(os.path.join(os.path.dirname(__file__), os.pardir, "configs", "bending.json")) as fh:
+def _shipped_config(path, name, **sections):
+    # configs/<name>.json with some keys of its sections set to other values
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "configs", f"{name}.json")) as fh:
         data = json.load(fh)
-    data["grid"].update(grid)
-    data["solver"].update(solver or {})
+    for section, keys in sections.items():
+        data[section].update(keys)
     path.write_text(json.dumps(data))
     return str(path)
 
@@ -529,7 +530,7 @@ def test_solve3d_steps_near_the_unit_step_after_the_first_row_on_the_shipped_gri
     # on the shipped 17x17x9 grid the first row has no pair, and its
     # quadratic-interpolation trials reach an accepted step within four;
     # after it the scaled L-BFGS direction's unit step is accepted on nearly
-    # every row: at most 14 trials in all, 13 measured (14 with the fine
+    # every row: at most 14 trials in all, 12 measured (14 with the fine
     # level in unit scale)
     history, trials = _solve3d_trials(monkeypatch, _lifted_coupled_start(17, 17, 9))
     assert history.shape[0] == 10 and len(trials) == 10 and sum(trials) <= 14
@@ -565,33 +566,40 @@ def test_orientation_orbit_energy_is_affine_in_the_double_angle():
     # at the potential solved at y, the frozen potential of solve3d's trials,
     # the energy of the rigid rotations R_c y about x2 is
     # alpha + beta cos 2c + gamma sin 2c: the samples at 0, pi/4 and pi/2
-    # give it at every other angle to 1e-12 relative (2e-15 measured), and
-    # the orientation step's third trial lands on its minimum
+    # give it at every other angle to 1e-12 relative (2e-15 measured). On the
+    # lifted start, even in c, the minimiser is pi/2 up to round-off and the
+    # orientation step returns the pi/2 sample's state after two trials; on
+    # the start rotated by 0.2 its third trial lands on the minimum
     from thinvolt import elastic3d, electro3d, fields
 
-    grid, eps, mat, y = _lifted_coupled_start()
-    y = fields.zero_mean_project(y, grid)
-    phi = electro3d.assemble_poisson3(y, grid, eps, mat).solve(tol=1e-10)
+    grid, eps, mat, lifted = _lifted_coupled_start()
+    for rotation in (0.0, 0.2):
+        y = fields.zero_mean_project(_rotated_about_x2(lifted, rotation), grid)
+        phi = electro3d.assemble_poisson3(y, grid, eps, mat).solve(tol=1e-10)
 
-    def frozen(c):
-        c = fields.zero_mean_project(c, grid)
-        return elastic3d.M_eps(c, grid, eps, mat) - electro3d.electrostatic_energy(*electro3d.assemble_poisson3(c, grid, eps, mat).energy_parts(phi))
+        def frozen(c):
+            c = fields.zero_mean_project(c, grid)
+            return elastic3d.M_eps(c, grid, eps, mat) - electro3d.electrostatic_energy(*electro3d.assemble_poisson3(c, grid, eps, mat).energy_parts(phi))
 
-    f0, f_quarter, f_half = (frozen(_rotated_about_x2(y, c)) for c in (0.0, math.pi / 4, math.pi / 2))
-    alpha = 0.5 * (f0 + f_half)
-    beta, gamma = f0 - alpha, f_quarter - alpha
-    for c in (0.1, 0.3, 1.0, 2.0, -0.7, math.pi / 3):
-        f = frozen(_rotated_about_x2(y, c))
-        assert abs(f - (alpha + beta * math.cos(2 * c) + gamma * math.sin(2 * c))) <= 1e-12 * abs(f)
-    trials = []
+        f0, f_quarter, f_half = (frozen(_rotated_about_x2(y, c)) for c in (0.0, math.pi / 4, math.pi / 2))
+        alpha = 0.5 * (f0 + f_half)
+        beta, gamma = f0 - alpha, f_quarter - alpha
+        for c in (0.1, 0.3, 1.0, 2.0, -0.7, math.pi / 3):
+            f = frozen(_rotated_about_x2(y, c))
+            assert abs(f - (alpha + beta * math.cos(2 * c) + gamma * math.sin(2 * c))) <= 1e-12 * abs(f)
+        trials = []
 
-    def trial(c):
-        trials.append(c)
-        return frozen(c), c
+        def trial(c):
+            trials.append(c)
+            return frozen(c), c
 
-    angle, f, rotated = _orientation_step(trial, y, f0)
-    assert len(trials) == 3 and np.array_equal(rotated, _rotated_about_x2(y, angle))
-    assert abs(f - (alpha - math.hypot(beta, gamma))) <= 1e-12 * abs(f) and f < f_half < f0
+        angle, f, rotated = _orientation_step(trial, y, f0)
+        assert np.array_equal(rotated, _rotated_about_x2(y, angle))
+        assert abs(f - (alpha - math.hypot(beta, gamma))) <= 1e-12 * abs(f) and f <= f_half < f0
+        if rotation == 0.0:
+            assert len(trials) == 2 and angle == math.pi / 2 and f == f_half
+        else:
+            assert len(trials) == 3 and abs(math.remainder(angle - math.pi / 2, math.pi)) > 1e-2 and f < f_half
 
 
 def test_orientation_step_is_not_taken_with_isotropic_permittivity(monkeypatch):
@@ -1012,12 +1020,26 @@ def test_cli_solve3d_reports_termination(tmp_path):
 @pytest.mark.parametrize(
     "extra, reason",
     [
-        ({"isometry": {"kind": "cosine", "amplitude": 50.0}}, "infeasible initial deformation"),
+        ({}, "infeasible initial deformation"),
         ({"prestrain": {"B1": [[-20.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]}}, "prestrain factor loses orientation"),
     ],
     ids=["lifted-start", "prestrain-orientation"],
 )
-def test_cli_solve3d_infeasible_start_reports_error(tmp_path, capsys, extra, reason):
+def test_cli_solve3d_infeasible_start_reports_error(tmp_path, capsys, monkeypatch, extra, reason):
+    # solve3d reads only the mean of the configured profile, so no profile
+    # amplitude folds its start: the lifted-start case mirrors the lift
+    # through the x1x2 plane, and every cell loses orientation
+    from thinvolt import harness
+
+    if not extra:
+        lift = harness.lift_deformation
+
+        def folded(*args):
+            y = lift(*args)
+            y[..., 2] *= -1.0
+            return y
+
+        monkeypatch.setattr(harness, "lift_deformation", folded)
     cfgpath = _write_config(
         tmp_path / "cfg.json",
         extra={"grid": {"n1": 5, "n2": 5, "n3": 4}, "eps": [0.25], "solver": {"max_iters": 3}, **extra},
@@ -1029,6 +1051,60 @@ def test_cli_solve3d_infeasible_start_reports_error(tmp_path, capsys, extra, rea
     assert summary["error"].startswith("ValueError: ") and reason in summary["error"]
     assert not (out / "solve3d_history.csv").exists()
     assert capsys.readouterr().err == ""
+
+
+def test_solve3d_start_is_the_bending_ground_state():
+    # M0 is quadratic in the nodal angles, so one Newton step in the 2D
+    # metric lands on its minimiser: the gradient vanishes to round-off, every
+    # cell bends at the prestrain's natural curvature -b/2a, and the mean
+    # angle is the configured profile's
+    from thinvolt import bending2d
+    from thinvolt.relaxation import RelaxedQ2
+
+    cfg = RunConfig.from_file(os.path.join(os.path.dirname(__file__), os.pardir, "configs", "coupled.json"))
+    rq = RelaxedQ2.of(cfg.material)
+    a, b, _ = bending2d._curvature_polynomial(rq)
+    assert b != 0.0
+    for isometry in (cfg.isometry, {"kind": "linear", "offset": 0.3, "slope": 2.0}):
+        cfg.isometry = isometry
+        y0 = cfg.recovery_inputs(cfg.grid2()).isometry
+        ground = _bending_ground_state(y0, rq)
+        g0 = np.max(np.abs(bending2d.grad_M0_theta(y0, rq)))
+        assert np.max(np.abs(bending2d.grad_M0_theta(ground, rq))) <= 1e-12 * g0
+        assert abs(np.mean(ground.theta) - np.mean(y0.theta)) <= 1e-14
+        assert np.allclose(ground.curvature_cells(), -b / (2.0 * a), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("eps, bound", [(0.25, 0.00639), (0.0625, 0.0065)])
+def test_cli_solve3d_ten_rows_from_the_ground_state_end_near_the_saddle(tmp_path, eps, bound):
+    # the bench's ten rows on configs/coupled.json from the lifted bending
+    # ground state end at F_eps 0.0063870 at eps 1/4 and 0.0064365 at eps
+    # 1/16; from the lifted cosine profile they ended at 0.0065337 and 0.02159
+    cfgpath = _shipped_config(tmp_path / "cfg.json", "coupled", solver={"max_iters": 10})
+    out = tmp_path / "out"
+    assert cli_main(["solve3d", "--config", cfgpath, "--out", str(out), "--eps", str(eps)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["eps"] == eps and summary["iterations"] == 10 and summary["F_eps"] <= bound
+
+
+def test_cli_solve3d_start_depends_on_the_profile_mean_alone(tmp_path, monkeypatch):
+    # the cosine profile and the constant one with its mean angle lift to the
+    # same start
+    from thinvolt import harness
+
+    starts = []
+    solve = harness.solve3d_alternating
+
+    def recorded(grid, eps, mat, y_init, **kwargs):
+        starts.append(y_init)
+        return solve(grid, eps, mat, y_init, **kwargs)
+
+    monkeypatch.setattr(harness, "solve3d_alternating", recorded)
+    for kind in ("cosine", "constant"):
+        isometry = {"kind": kind, "offset": 0.3, "amplitude": 0.5}
+        cfgpath = _shipped_config(tmp_path / f"{kind}.json", "coupled", isometry=isometry, solver={"max_iters": 1})
+        assert cli_main(["solve3d", "--config", cfgpath, "--out", str(tmp_path / kind)]) == 0
+    assert np.max(np.abs(starts[0] - starts[1])) <= 1e-12
 
 
 def test_cli_solve2d_failed_potential_solve_reports_error(tmp_path, capsys, monkeypatch):
@@ -1073,7 +1149,7 @@ def test_cli_sweep_failed_target_solve_reports_error(tmp_path, capsys, monkeypat
 def test_cli_sweep_with_a_tolerance_below_roundoff_stops_at_the_gap(tmp_path, capsys):
     # no residual reaches 1e-300, so every solve, the 2D target's included,
     # ends at pcg's energy-gap certificate and the sweep passes
-    cfgpath = _bending_config(tmp_path / "cfg.json", {"n1": 17, "n2": 17, "n3": 5}, {"poisson_tol": 1e-300})
+    cfgpath = _shipped_config(tmp_path / "cfg.json", "bending", grid={"n1": 17, "n2": 17, "n3": 5}, solver={"poisson_tol": 1e-300})
     out = tmp_path / "out"
     assert cli_main(["sweep", "--config", cfgpath, "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
@@ -1088,7 +1164,7 @@ def test_cli_sweep_is_byte_identical_across_blas_thread_counts(tmp_path):
     # or the energies would move the CSV's last bits with the thread count
     import thinvolt
 
-    cfgpath = _bending_config(tmp_path / "cfg.json", {"n1": 25, "n2": 25, "n3": 17})
+    cfgpath = _shipped_config(tmp_path / "cfg.json", "bending", grid={"n1": 25, "n2": 25, "n3": 17})
     src = os.path.dirname(os.path.dirname(os.path.abspath(thinvolt.__file__)))
     written = []
     for threads in ("1", "2"):
@@ -1147,7 +1223,7 @@ def test_cli_sweep_fails_far_from_the_limit(tmp_path):
     # negative control: the shipped bending config at thick eps is far from its
     # 2D limit (final mech_recovery margin about 0.51 against a 0.022
     # tolerance) although its margins shrink; the sweep must fail
-    cfgpath = _bending_config(tmp_path / "cfg.json", {"n1": 17, "n2": 17, "n3": 9})
+    cfgpath = _shipped_config(tmp_path / "cfg.json", "bending", grid={"n1": 17, "n2": 17, "n3": 9})
     out = tmp_path / "out"
     assert cli_main(["sweep", "--config", cfgpath, "--out", str(out), "--eps", "1.0,0.9,0.8"]) == 1
     summary = json.loads((out / "summary.json").read_text())
